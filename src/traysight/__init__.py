@@ -1,9 +1,10 @@
 """Calibrate-then-classify machine vision for pick-and-place module testing.
 
-Two detectors built on the same scalar: the mean intensity of a cropped
-region's 256-bin histogram. Tray slots are classified occupied/empty by
-nearest calibrated reference; socket placements pass/fail a z-score
-tolerance band around the calibrated mean.
+Two detectors built on the same scalar: the mean intensity of a region's
+256-bin histogram, computed as its integer pixel sum over its pixel count
+(``slot_means``). Tray slots are classified occupied/empty by nearest
+calibrated reference; socket placements pass/fail a z-score tolerance
+band around the calibrated mean.
 """
 
 from .evaluation import ConfusionMatrix, Metrics, metrics, tally
@@ -38,7 +39,7 @@ from .presence import (
 )
 from .stats import ci_halfwidth, mean_intensity, sample_mean, sample_std
 from .synthgen import SceneSpec, generate_socket_series, generate_tray
-from .tray_grid import TrayLayout, parse_layout, slot_rect
+from .tray_grid import TrayLayout, parse_layout, slot_means, slot_rect
 
 __version__ = "0.1.0"
 
@@ -75,6 +76,7 @@ __all__ = [
     "save_gray_image",
     "save_placement_model",
     "save_presence_refs",
+    "slot_means",
     "slot_rect",
     "tally",
     "to_gray",

@@ -1,6 +1,7 @@
 """8-bit grayscale rasters: PGM/PPM codec, grayscale conversion, cropping, histograms.
 
-Every detector downstream consumes the 256-bin histograms produced here.
+The 256-bin histogram here is the paper's definition of the detectors' feature
+and the reference they are tested against (see :func:`traysight.tray_grid.slot_means`).
 Images are immutable after construction and safe to share between workers.
 """
 
@@ -15,7 +16,6 @@ import numpy as np
 __all__ = [
     "GrayImage",
     "Rect",
-    "Histogram256",
     "PnmError",
     "PnmHeaderError",
     "PnmMaxvalError",
@@ -30,10 +30,6 @@ __all__ = [
     "save_gray_image",
     "save_color_image",
 ]
-
-# 256 int64 counts, index = intensity value.
-Histogram256 = np.ndarray
-
 
 class PnmError(ValueError):
     """Malformed portable-anymap (P5/P6) data."""
@@ -110,8 +106,8 @@ def crop(img: GrayImage, r: Rect) -> GrayImage:
     return GrayImage(img.pixels[r.y : r.y + r.h, r.x : r.x + r.w])
 
 
-def histogram(img: GrayImage) -> Histogram256:
-    """256-bin intensity counts; bins sum to width*height."""
+def histogram(img: GrayImage) -> np.ndarray:
+    """256 int64 intensity counts, index = intensity value; bins sum to width*height."""
     return np.bincount(img.pixels.ravel(), minlength=256).astype(np.int64)
 
 

@@ -1,8 +1,8 @@
 """Socket placement verification via a z-score tolerance band.
 
-Calibration crops the socket ROI from repeated correct placements and
-records the mean and Bessel-corrected standard deviation of the per-image
-mean intensities. A new observation passes iff its deviation from the
+Calibration reads the socket ROI's mean intensity from repeated correct
+placements and records the mean and Bessel-corrected standard deviation of
+those per-image means. A new observation passes iff its deviation from the
 calibrated mean is at most z*std (inclusive), with a small epsilon floor so
 a zero-variance calibration does not reject everything.
 
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._fmt import format_decimal
-from .imaging import GrayImage, Rect, crop, histogram
-from .stats import mean_intensity, sample_mean, sample_std
+from .imaging import GrayImage, Rect
+from .stats import sample_mean, sample_std
+from .tray_grid import TrayLayout, slot_means
 
 __all__ = [
     "UndersampledWarning",
@@ -99,7 +100,7 @@ def calibrate_placement(
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError(f"placement calibration needs at least 2 samples, got {len(samples)}")
-    values = [mean_intensity(histogram(crop(image, roi))) for image in samples]
+    values = [_roi_mean(image, roi) for image in samples]
     n = len(values)
     if n < min_n:
         warnings.warn(
@@ -126,7 +127,12 @@ def verify_value(value: float, model: PlacementModel) -> PlacementVerdict:
 
 def verify_placement(image: GrayImage, model: PlacementModel) -> PlacementVerdict:
     """Verdict the socket image: mean intensity over the model ROI vs the tolerance band."""
-    return verify_value(mean_intensity(histogram(crop(image, model.roi))), model)
+    return verify_value(_roi_mean(image, model.roi), model)
+
+
+def _roi_mean(image: GrayImage, roi: Rect) -> float:
+    # The ROI is a one-slot layout, so both detectors share one feature path.
+    return slot_means(image, TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h))[0]
 
 
 def save_placement_model(model: PlacementModel) -> str:

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 from ._fmt import format_decimal
-from .imaging import GrayImage, crop, histogram
-from .stats import mean_intensity
-from .tray_grid import TrayLayout, slot_rect
+from .imaging import GrayImage
+from .tray_grid import TrayLayout, slot_means
 
 __all__ = [
     "SlotReference",
@@ -59,9 +58,11 @@ class PresenceReferenceSet:
                 if not math.isfinite(value) or not 0 <= value <= 255:
                     raise ValueError(f"slot {i}: {name} reference {value!r} outside [0, 255]")
             if ref.value_with == ref.value_without:
+                row, col = divmod(i, self.layout.cols)
                 raise ValueError(
-                    f"degenerate calibration: slot {i} has identical with/without "
-                    f"references ({ref.value_with!r}); the classes cannot be separated"
+                    f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
+                    f"identical with/without references ({ref.value_with!r}); "
+                    "the classes cannot be separated"
                 )
 
 
@@ -77,10 +78,6 @@ class OccupancyResult:
         return "".join(str(b) for b in self.bits)
 
 
-def _slot_value(image: GrayImage, layout: TrayLayout, index: int) -> float:
-    return mean_intensity(histogram(crop(image, slot_rect(layout, index))))
-
-
 def calibrate_presence(
     with_image: GrayImage, without_image: GrayImage, layout: TrayLayout
 ) -> PresenceReferenceSet:
@@ -89,18 +86,8 @@ def calibrate_presence(
     Raises ValueError if the layout exceeds either image or if any slot's two
     references coincide (the classifier could not separate the classes there).
     """
-    refs = []
-    for i in range(layout.slot_count):
-        value_with = _slot_value(with_image, layout, i)
-        value_without = _slot_value(without_image, layout, i)
-        if value_with == value_without:
-            row, col = divmod(i, layout.cols)
-            raise ValueError(
-                f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
-                f"identical with/without mean intensity {value_with!r}"
-            )
-        refs.append(SlotReference(value_with, value_without))
-    return PresenceReferenceSet(layout, tuple(refs))
+    pairs = zip(slot_means(with_image, layout), slot_means(without_image, layout))
+    return PresenceReferenceSet(layout, tuple(SlotReference(w, o) for w, o in pairs))
 
 
 def classify_slot(value_unknown: float, value_with: float, value_without: float) -> bool:
@@ -140,13 +127,11 @@ def inspect_tray(
         )
     bits = []
     flags = []
-    for i in range(layout.slot_count):
-        value = _slot_value(image, layout, i)
-        ref = refs.slot_refs[i]
-        bits.append(int(classify_slot(value, ref.value_with, ref.value_without)))
-        nearest = min(abs(value - ref.value_with), abs(value - ref.value_without))
-        separation = abs(ref.value_with - ref.value_without)
-        flags.append(nearest > outlier_k * separation)
+    for value, ref in zip(slot_means(image, layout), refs.slot_refs):
+        to_with = abs(value - ref.value_with)
+        to_without = abs(value - ref.value_without)
+        bits.append(int(to_with < to_without))  # classify_slot's rule: a tie is empty
+        flags.append(min(to_with, to_without) > outlier_k * abs(ref.value_with - ref.value_without))
     return OccupancyResult(tuple(bits), tuple(flags))
 
 

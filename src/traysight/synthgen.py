@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import format_decimal
 from .imaging import GrayImage, Rect
-from .tray_grid import LAYOUT_KEYS, TrayLayout, parse_key_values, slot_rect
+from .tray_grid import LAYOUT_KEYS, TrayLayout, layout_from_entries, parse_key_values, slot_rect
 
 __all__ = [
     "SceneSpec",
@@ -127,13 +127,7 @@ def parse_scene(text: str) -> SceneSpec:
     missing = [key for key in _SCENE_KEYS if key not in entries]
     if missing:
         raise ValueError(f"missing scene key(s): {', '.join(missing)}")
-    layout_values = {}
-    for key in LAYOUT_KEYS:
-        try:
-            layout_values[key] = int(entries[key])
-        except ValueError:
-            raise ValueError(f"scene key {key!r} must be an integer, got {entries[key]!r}") from None
-    layout = TrayLayout(**layout_values)
+    layout = layout_from_entries(entries)
     bits = entries["occupancy"]
     if set(bits) - {"0", "1"}:
         raise ValueError(f"occupancy must be a string of 0/1, got {bits!r}")

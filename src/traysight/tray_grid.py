@@ -1,4 +1,4 @@
-"""Tray geometry: key=value layout configs and slot-index to pixel-rectangle math.
+"""Tray geometry: key=value layout configs, slot-index to pixel-rectangle math, slot means.
 
 Slot indices run left to right within a row, rows top to bottom; that
 order fixes the occupancy bitstring everywhere else in the package.
@@ -8,9 +8,19 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 
-from .imaging import Rect
+import numpy as np
 
-__all__ = ["LAYOUT_KEYS", "TrayLayout", "parse_key_values", "parse_layout", "slot_rect"]
+from .imaging import GrayImage, Rect
+
+__all__ = [
+    "LAYOUT_KEYS",
+    "TrayLayout",
+    "layout_from_entries",
+    "parse_key_values",
+    "parse_layout",
+    "slot_means",
+    "slot_rect",
+]
 
 LAYOUT_KEYS = (
     "rows",
@@ -86,6 +96,11 @@ def parse_layout(text: str) -> TrayLayout:
     unknown = sorted(set(entries) - set(LAYOUT_KEYS))
     if unknown:
         raise ValueError(f"unknown layout key(s): {', '.join(unknown)}")
+    return layout_from_entries(entries)
+
+
+def layout_from_entries(entries: dict[str, str]) -> TrayLayout:
+    """Build a TrayLayout from parsed ``key = value`` entries; keys besides LAYOUT_KEYS are ignored."""
     missing = [key for key in LAYOUT_KEYS if key not in entries]
     if missing:
         raise ValueError(f"missing layout key(s): {', '.join(missing)}")
@@ -109,3 +124,30 @@ def slot_rect(layout: TrayLayout, index: int) -> Rect:
         layout.slot_w,
         layout.slot_h,
     )
+
+
+def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:
+    """Every slot's mean intensity, in slot-index order: its pixel sum over slot_w*slot_h.
+
+    One int64 reduction over a zero-copy view of the slot grid gives the sums. Each
+    mean is then the same Python int division that ``mean_intensity(histogram(crop(...)))``
+    performs, so the two are bit-identical. Raises ValueError unless the layout fits.
+    """
+    last = slot_rect(layout, layout.slot_count - 1)
+    if last.x + last.w > image.width or last.y + last.h > image.height:
+        raise ValueError(f"{last} does not fit inside a {image.width}x{image.height} image")
+    # (rows, cols, slot_h, slot_w) view of the slots; the last slot is the
+    # bottom-right one, so the fit check bounds every address it reads. Not
+    # as_strided: it goes through __array_interface__, whose repeated use grew
+    # peak RSS by about 1.5 MB under numpy 2.4.
+    pixels = image.pixels
+    dy, dx = pixels.strides
+    slots = np.ndarray(
+        shape=(layout.rows, layout.cols, layout.slot_h, layout.slot_w),
+        dtype=pixels.dtype,
+        buffer=pixels,
+        offset=layout.origin_y * dy + layout.origin_x * dx,
+        strides=(layout.pitch_y * dy, layout.pitch_x * dx, dy, dx),
+    )
+    area = layout.slot_w * layout.slot_h
+    return [total / area for total in slots.sum(axis=(2, 3), dtype=np.int64).ravel().tolist()]

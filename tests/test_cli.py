@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: verdict lines, exit codes, stdout purity."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traysight import synthgen
 from traysight.cli import main
 from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
 from traysight.placement import PlacementModel, save_placement_model
@@ -177,6 +183,43 @@ class TestInspect:
         assert tuple(rgb[0, 0]) == (90, 90, 90)  # background
         assert tuple(rgb[7, 7]) == (0, 200, 0)  # slot 0 occupied
         assert tuple(rgb[7, 19]) == (200, 0, 0)  # slot 1 empty
+
+
+class TestMalformedInspectFiles:
+    """Whatever the refs or image file holds, inspect exits 2 with one error line."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inspect")
+        layout_path, refs_path = calibrate_presence_files(tmp_path)
+        image_path = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
+        return {"--layout": layout_path, "--refs": refs_path, "--image": image_path}
+
+    @settings(deadline=None)
+    @given(
+        flag=st.sampled_from(["--refs", "--image"]),
+        contents=st.binary() | st.text().map(str.encode),
+        cut=st.none() | st.floats(0, 1, exclude_max=True),
+    )
+    def test_exit_2_with_one_error_line(self, files, flag, contents, cut):
+        paths = dict(files)
+        bad = paths[flag].with_name("arbitrary")
+        if flag == "--image" and cut is not None:
+            # A valid image cut short anywhere, header or pixel payload.
+            valid = paths["--image"].read_bytes()
+            contents = valid[: int(cut * len(valid))]
+        bad.write_bytes(contents)
+        paths[flag] = bad
+        argv = ["inspect", "--tray-id", "T"]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 class TestCalibratePlacement:
@@ -386,3 +429,22 @@ class TestSynth:
     def test_equal_means_allowed_without_flag(self, tmp_path):
         scene = self.write_scene(tmp_path, mu_without="130.000000")
         assert main(["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 74.5 GiB"), "error: out of memory: Unable to allocate 74.5 GiB"),
+            (MemoryError(), "error: out of memory"),
+        ],
+    )
+    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhausted(spec):
+            raise exc
+
+        monkeypatch.setattr(synthgen, "generate_tray", exhausted)
+        scene = self.write_scene(tmp_path)
+        code = main(["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [line]

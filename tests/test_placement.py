@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from traysight.imaging import GrayImage, Rect
+from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.placement import (
     PlacementModel,
     UndersampledWarning,
@@ -16,6 +19,7 @@ from traysight.placement import (
     verify_placement,
     verify_value,
 )
+from traysight.stats import mean_intensity
 from traysight.synthgen import generate_socket_series
 
 
@@ -122,6 +126,20 @@ class TestVerify:
         assert ok.correct and ok.value == 103.0
         ng = verify_placement(constant_image(104, 4, 4), model)
         assert not ng.correct
+
+    @settings(deadline=None)
+    @given(
+        roi=st.builds(Rect, st.integers(0, 6), st.integers(0, 6), st.integers(1, 8), st.integers(1, 8)),
+        margin=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        data=st.data(),
+    )
+    def test_value_bit_identical_to_histogram_oracle(self, roi, margin, data):
+        shape = (roi.y + roi.h + margin[1], roi.x + roi.w + margin[0])
+        image = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
+        model = PlacementModel(roi=roi, n=30, mean_value=100.0, std_value=2.0)
+        value = verify_placement(image, model).value
+        assert type(value) is float
+        assert value == mean_intensity(histogram(crop(image, roi)))
 
     def test_depends_only_on_roi_pixels(self):
         model = PlacementModel(roi=Rect(0, 0, 4, 4), n=30, mean_value=100.0, std_value=2.0)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from traysight.imaging import GrayImage
+from traysight.imaging import GrayImage, crop, histogram
 from traysight.presence import (
     OccupancyResult,
     PresenceReferenceSet,
@@ -16,12 +17,14 @@ from traysight.presence import (
     load_presence_refs,
     save_presence_refs,
 )
+from traysight.stats import mean_intensity
 from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout, slot_rect
 
 # Values on a 1/64 grid stay exact through shifts and differences, so the
 # shift-invariance property holds with equality rather than a tolerance.
 dyadic = st.integers(-16_384, 16_384).map(lambda k: k / 64.0)
+reference = st.integers(0, 255 * 64).map(lambda k: k / 64.0)
 
 
 def constant_image(value, width, height):
@@ -180,6 +183,51 @@ class TestInspectTray:
             inspect_tray(GrayImage(altered), layout, refs).bits
             == inspect_tray(base, layout, refs).bits
         )
+
+    # Slot areas 1, 8 and 16 keep every reading dyadic, so references on a
+    # 1/64 grid around it land exactly on the tie or, for a power-of-two
+    # outlier_k, exactly on the outlier boundary.
+    @settings(deadline=None)
+    @given(
+        layout=st.sampled_from([
+            TrayLayout(1, 1, 0, 0, 1, 1, 1, 1),
+            TrayLayout(2, 3, 1, 2, 5, 4, 4, 2),
+            TrayLayout(3, 2, 0, 1, 4, 6, 4, 4),
+        ]),
+        overhang=st.integers(0, 1),
+        outlier_k=st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.01, 8.0),
+        data=st.data(),
+    )
+    def test_matches_per_slot_reference_rule(self, layout, overhang, outlier_k, data):
+        last = slot_rect(layout, layout.slot_count - 1)
+        shape = (last.y + last.h + overhang, last.x + last.w + overhang)
+        image = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
+        readings = [
+            mean_intensity(histogram(crop(image, slot_rect(layout, i))))
+            for i in range(layout.slot_count)
+        ]
+        pairs = []
+        for u in readings:
+            d = data.draw(st.integers(1, 64 * 64)) / 64
+            sign = data.draw(st.sampled_from([1, -1]))
+            near = u + sign * outlier_k * d
+            pair = data.draw(st.sampled_from([(u + d, u - d), (near, near + sign * d), None]))
+            if pair is None or not all(0 <= v <= 255 for v in pair) or pair[0] == pair[1]:
+                pair = tuple(data.draw(st.lists(reference, min_size=2, max_size=2, unique=True)))
+            pairs.append(pair[::-1] if data.draw(st.booleans()) else pair)
+        refs = make_refs(layout, pairs)
+
+        result = inspect_tray(image, layout, refs, outlier_k=outlier_k)
+
+        bits = tuple(int(classify_slot(u, w, o)) for u, (w, o) in zip(readings, pairs))
+        flags = tuple(
+            min(abs(u - w), abs(u - o)) > outlier_k * abs(w - o)
+            for u, (w, o) in zip(readings, pairs)
+        )
+        assert result.bits == bits
+        assert result.warnings == flags
+        assert all(type(b) is int for b in result.bits)
+        assert all(type(f) is bool for f in result.warnings)
 
     def test_result_length_equals_slot_count(self):
         layout = small_layout(3, 4)

@@ -1,9 +1,14 @@
-"""Layout parsing and slot-index geometry."""
+"""Layout parsing, slot-index geometry and the slot-mean feature."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from traysight.imaging import Rect
-from traysight.tray_grid import TrayLayout, parse_layout, slot_rect
+from traysight.imaging import GrayImage, Rect, crop, histogram
+from traysight.stats import mean_intensity
+from traysight.tray_grid import TrayLayout, parse_layout, slot_means, slot_rect
 
 LAYOUT_TEXT = (
     "rows=4\ncols=5\norigin_x=10\norigin_y=12\npitch_x=60\npitch_y=80\nslot_w=50\nslot_h=70"
@@ -101,3 +106,71 @@ class TestSlotRect:
                 overlap_x = max(0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
                 overlap_y = max(0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
                 assert overlap_x * overlap_y == 0
+
+
+def oracle_means(image, layout):
+    """The paper's feature, slot by slot: crop -> histogram -> mean."""
+    return [
+        mean_intensity(histogram(crop(image, slot_rect(layout, i))))
+        for i in range(layout.slot_count)
+    ]
+
+
+def fitted_image(layout, margin_x, margin_y, seed=0):
+    """Random image reaching ``margin`` pixels past the last slot's far edge."""
+    last = slot_rect(layout, layout.slot_count - 1)
+    shape = (last.y + last.h + margin_y, last.x + last.w + margin_x)
+    return GrayImage(np.random.default_rng(seed).integers(0, 256, size=shape))
+
+
+@st.composite
+def layouts_with_images(draw):
+    slot_w = draw(st.integers(1, 6))
+    slot_h = draw(st.integers(1, 6))
+    layout = TrayLayout(
+        rows=draw(st.integers(1, 4)),
+        cols=draw(st.integers(1, 4)),
+        origin_x=draw(st.integers(0, 5)),
+        origin_y=draw(st.integers(0, 5)),
+        pitch_x=draw(st.integers(slot_w, slot_w + 4)),
+        pitch_y=draw(st.integers(slot_h, slot_h + 4)),
+        slot_w=slot_w,
+        slot_h=slot_h,
+    )
+    last = slot_rect(layout, layout.slot_count - 1)
+    # Margin 0 is an exact fit; a margin below the pitch gap leaves the last
+    # gap hanging past the image edge.
+    width = last.x + last.w + draw(st.integers(0, 3))
+    height = last.y + last.h + draw(st.integers(0, 3))
+    return layout, GrayImage(draw(hnp.arrays(np.uint8, (height, width))))
+
+
+class TestSlotMeans:
+    @settings(deadline=None)
+    @given(layouts_with_images())
+    @example((TrayLayout(1, 1, 0, 0, 1, 1, 1, 1), GrayImage(np.array([[255]]))))
+    @example((TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), fitted_image(TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), 0, 0)))
+    @example((TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), fitted_image(TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), 1, 2)))
+    @example((TrayLayout(3, 3, 0, 0, 9, 9, 9, 9), GrayImage(np.full((27, 27), 255))))
+    def test_bit_identical_to_histogram_oracle(self, case):
+        layout, image = case
+        assert slot_means(image, layout) == oracle_means(image, layout)
+
+    def test_row_major_python_floats(self):
+        layout = TrayLayout(2, 3, 1, 1, 4, 4, 2, 2)
+        pixels = np.zeros((9, 13), dtype=np.uint8)
+        for i in range(layout.slot_count):
+            r = slot_rect(layout, i)
+            pixels[r.y : r.y + r.h, r.x : r.x + r.w] = 10 * i
+        means = slot_means(GrayImage(pixels), layout)
+        assert means == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
+        assert all(type(m) is float for m in means)
+
+    @pytest.mark.parametrize("short_x, short_y", [(1, 0), (0, 1)])
+    def test_one_pixel_overhang_rejected(self, short_x, short_y):
+        layout = TrayLayout(2, 3, 1, 2, 7, 6, 4, 3)
+        image = fitted_image(layout, -short_x, -short_y)
+        with pytest.raises(ValueError, match="does not fit") as info:
+            slot_means(image, layout)
+        assert str(slot_rect(layout, 5)) in str(info.value)
+        assert f"{image.width}x{image.height}" in str(info.value)
