@@ -59,7 +59,7 @@ class GrayImage:
             raise ValueError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
-        if int(arr.min()) < 0 or int(arr.max()) > 255:
+        if arr.dtype != np.uint8 and (int(arr.min()) < 0 or int(arr.max()) > 255):
             raise ValueError("pixel values must lie in [0, 255]")
         arr = arr.astype(np.uint8, copy=True)
         arr.setflags(write=False)
@@ -155,10 +155,10 @@ def decode_pnm(data: bytes) -> GrayImage:
     pos += 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise PnmDataError(f"pixel data truncated: need {need} bytes, have {len(payload)}")
-    raw = np.frombuffer(payload, dtype=np.uint8)
+    have = len(data) - pos
+    if have < need:
+        raise PnmDataError(f"pixel data truncated: need {need} bytes, have {have}")
+    raw = np.frombuffer(data, np.uint8, need, pos)
     if channels == 1:
         return GrayImage(raw.reshape(height, width))
     rgb = raw.reshape(height, width, 3).astype(np.float64)

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._fmt import format_decimal
+from ._fmt import format_decimal, format_store, parse_store, store_fields
 from .imaging import GrayImage, Rect
 from .stats import sample_mean, sample_std
 from .tray_grid import TrayLayout, slot_means
@@ -37,6 +37,7 @@ __all__ = [
 
 _STORE_MAGIC = "TRAYSIGHT-PLACEMENT"
 _STORE_VERSION = 1
+_RECORDS = (("roi", 4), ("n", 1), ("mean", 1), ("std", 1), ("z", 1), ("eps_floor", 1))  # key, value count
 
 DEFAULT_Z = 1.96  # 95% two-sided under normality
 DEFAULT_EPS_FLOOR = 0.5  # intensity levels; guards zero-variance calibrations
@@ -138,8 +139,7 @@ def _roi_mean(image: GrayImage, roi: Rect) -> float:
 def save_placement_model(model: PlacementModel) -> str:
     """Serialize to the versioned ASCII store; exact round trip via load."""
     roi = model.roi
-    lines = [
-        f"{_STORE_MAGIC} {_STORE_VERSION}",
+    records = [
         f"roi {roi.x} {roi.y} {roi.w} {roi.h}",
         f"n {model.n}",
         f"mean {format_decimal(model.mean_value)}",
@@ -147,43 +147,19 @@ def save_placement_model(model: PlacementModel) -> str:
         f"z {format_decimal(model.z)}",
         f"eps_floor {format_decimal(model.eps_floor)}",
     ]
-    return "\n".join(lines) + "\n"
+    return format_store(_STORE_MAGIC, _STORE_VERSION, records)
 
 
 def load_placement_model(text: str) -> PlacementModel:
     """Parse the store format written by save_placement_model, re-validating invariants."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ValueError("empty placement model store")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _STORE_MAGIC:
-        raise ValueError(f"not a placement model store (got {lines[0]!r})")
-    if header[1] != str(_STORE_VERSION):
-        raise ValueError(f"unsupported placement store version {header[1]!r}")
-    expected = ("roi", "n", "mean", "std", "z", "eps_floor")
-    if len(lines) != 1 + len(expected):
-        raise ValueError(f"placement store must have {1 + len(expected)} lines, got {len(lines)}")
-    fields: dict[str, list[str]] = {}
-    for key, line in zip(expected, lines[1:]):
-        parts = line.split()
-        if not parts or parts[0] != key:
-            raise ValueError(f"expected '{key} ...' line, got {line!r}")
-        fields[key] = parts[1:]
+    records = parse_store(text, _STORE_MAGIC, _STORE_VERSION, "placement model")
+    if len(records) != len(_RECORDS):
+        raise ValueError(f"placement store must have {1 + len(_RECORDS)} lines, got {1 + len(records)}")
     try:
-        roi = Rect(*(int(p) for p in _exactly(fields["roi"], 4, "roi")))
-        n = int(_exactly(fields["n"], 1, "n")[0])
-        mean = float(_exactly(fields["mean"], 1, "mean")[0])
-        std = float(_exactly(fields["std"], 1, "std")[0])
-        z = float(_exactly(fields["z"], 1, "z")[0])
-        eps_floor = float(_exactly(fields["eps_floor"], 1, "eps_floor")[0])
+        fields = [store_fields(line, key, count) for (key, count), line in zip(_RECORDS, records)]
+        roi = Rect(*(int(p) for p in fields[0]))
+        n = int(fields[1][0])
+        mean, std, z, eps_floor = (float(values[0]) for values in fields[2:])
     except ValueError as exc:
         raise ValueError(f"malformed placement store: {exc}") from None
     return PlacementModel(roi=roi, n=n, mean_value=mean, std_value=std, z=z, eps_floor=eps_floor)
-
-
-def _exactly(parts: list[str], count: int, key: str) -> list[str]:
-    if len(parts) != count:
-        raise ValueError(f"'{key}' line must carry {count} value(s), got {len(parts)}")
-    return parts

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._fmt import format_decimal
+from ._fmt import format_decimal, format_store, parse_store, store_fields
 from .imaging import GrayImage
 from .tray_grid import TrayLayout, slot_means
 
@@ -137,38 +137,25 @@ def inspect_tray(
 
 def save_presence_refs(refs: PresenceReferenceSet) -> str:
     """Serialize to the versioned ASCII store; exact round trip via load."""
-    lines = [f"{_STORE_MAGIC} {_STORE_VERSION}"]
-    lines.append("layout " + " ".join(str(v) for v in refs.layout.fields()))
-    for i, ref in enumerate(refs.slot_refs):
-        lines.append(
-            f"slot {i} with {format_decimal(ref.value_with)} "
-            f"without {format_decimal(ref.value_without)}"
-        )
-    return "\n".join(lines) + "\n"
+    layout = "layout " + " ".join(str(v) for v in refs.layout.fields())
+    slots = (
+        f"slot {i} with {format_decimal(ref.value_with)} "
+        f"without {format_decimal(ref.value_without)}"
+        for i, ref in enumerate(refs.slot_refs)
+    )
+    return format_store(_STORE_MAGIC, _STORE_VERSION, [layout, *slots])
 
 
 def load_presence_refs(text: str) -> PresenceReferenceSet:
     """Parse the store format written by save_presence_refs, re-validating invariants."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise ValueError("empty presence reference store")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _STORE_MAGIC:
-        raise ValueError(f"not a presence reference store (got {lines[0]!r})")
-    if header[1] != str(_STORE_VERSION):
-        raise ValueError(f"unsupported presence store version {header[1]!r}")
-    if len(lines) < 2:
+    records = parse_store(text, _STORE_MAGIC, _STORE_VERSION, "presence reference")
+    if not records:
         raise ValueError("missing layout line")
-    layout_parts = lines[1].split()
-    if len(layout_parts) != 9 or layout_parts[0] != "layout":
-        raise ValueError(f"malformed layout line: {lines[1]!r}")
     try:
-        layout = TrayLayout(*(int(p) for p in layout_parts[1:]))
+        layout = TrayLayout(*(int(p) for p in store_fields(records[0], "layout", 8)))
     except ValueError as exc:
         raise ValueError(f"malformed layout line: {exc}") from None
-    slot_lines = lines[2:]
+    slot_lines = records[1:]
     if len(slot_lines) != layout.slot_count:
         raise ValueError(
             f"slot-count mismatch: layout expects {layout.slot_count} slots, "

@@ -213,6 +213,13 @@ class TestPnmCodec:
     def test_trailing_bytes_ignored(self):
         assert decode_pnm(b"P5\n1 1\n255\n\x07\n").pixels.tolist() == [[7]]
 
+    def test_does_not_alias_input_buffer(self):
+        data = bytearray(b"P5\n2 1\n255\n\x01\x02")
+        img = decode_pnm(data)
+        data[-2:] = b"\x09\x09"
+        assert img.pixels.tolist() == [[1, 2]]
+        assert not img.pixels.flags.writeable
+
     def test_p5_roundtrip_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(13)
         img = random_image(rng, 9, 4)
