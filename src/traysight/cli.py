@@ -53,9 +53,8 @@ def _expand_samples(args_paths) -> list[Path]:
 
 def _render_map(image, layout, result) -> np.ndarray:
     rgb = np.full((image.height, image.width, 3), BACKGROUND_COLOR, dtype=np.uint8)
-    for i, bit in enumerate(result.bits):
-        r = tray_grid.slot_rect(layout, i)
-        rgb[r.y : r.y + r.h, r.x : r.x + r.w] = OCCUPIED_COLOR if bit else EMPTY_COLOR
+    occupied = np.reshape(result.bits, (layout.rows, layout.cols, 1, 1, 1))
+    tray_grid.slot_grid(rgb, layout)[...] = np.where(occupied, OCCUPIED_COLOR, EMPTY_COLOR)
     return rgb
 
 
@@ -73,6 +72,8 @@ def cmd_inspect(args) -> int:
     refs = presence.load_presence_refs(_read_text(args.refs))
     image = imaging.load_gray_image(args.image)
     result = presence.inspect_tray(image, layout, refs, outlier_k=args.outlier_k)
+    if args.map:
+        imaging.save_color_image(_render_map(image, layout, result), args.map)
     print(f"PRESENCE {args.tray_id} {result.bitstring}")
     for i, flagged in enumerate(result.warnings):
         if flagged:
@@ -80,8 +81,6 @@ def cmd_inspect(args) -> int:
     for row in range(layout.rows):
         cells = result.bits[row * layout.cols : (row + 1) * layout.cols]
         print("".join("#" if bit else "." for bit in cells), file=sys.stderr)
-    if args.map:
-        imaging.save_color_image(_render_map(image, layout, result), args.map)
     return 0
 
 

@@ -110,7 +110,7 @@ def parse_labels(text: str) -> dict[str, bool]:
 
 
 def format_labels(labels: Mapping[str, bool] | Iterable[tuple[str, bool]]) -> str:
-    """Inverse of parse_labels (modulo comment/blank lines)."""
+    """Inverse of parse_labels (modulo blank lines)."""
     items = labels.items() if isinstance(labels, Mapping) else labels
     return "".join(f"{ident} {int(bool(bit))}\n" for ident, bit in items)
 

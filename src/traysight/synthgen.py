@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import format_decimal
 from .imaging import GrayImage, Rect
-from .tray_grid import LAYOUT_KEYS, TrayLayout, layout_from_entries, parse_key_values, slot_rect
+from .tray_grid import LAYOUT_KEYS, TrayLayout, layout_from_entries, parse_key_values, slot_grid
 
 __all__ = [
     "SceneSpec",
@@ -72,10 +72,10 @@ def generate_tray(spec: SceneSpec) -> tuple[GrayImage, tuple[bool, ...]]:
     height = layout.origin_y + layout.rows * layout.pitch_y
     rng = np.random.default_rng(spec.seed)
     canvas = rng.normal(spec.background, spec.sigma, size=(height, width))
-    for i, occupied in enumerate(spec.occupancy):
-        r = slot_rect(layout, i)
-        mu = spec.mu_with if occupied else spec.mu_without
-        canvas[r.y : r.y + r.h, r.x : r.x + r.w] = rng.normal(mu, spec.sigma, size=(r.h, r.w))
+    slots = slot_grid(canvas, layout)
+    mu = np.where(spec.occupancy, spec.mu_with, spec.mu_without).reshape(slots.shape[:2] + (1, 1))
+    # A C-order draw takes the slots in index order, so a per-slot loop draws the same bytes.
+    slots[...] = rng.normal(mu, spec.sigma, size=slots.shape)
     return GrayImage(_quantize(canvas)), spec.occupancy
 
 
@@ -120,13 +120,7 @@ def format_scene(spec: SceneSpec) -> str:
 
 def parse_scene(text: str) -> SceneSpec:
     """Parse a scene manifest; all keys required, unknown keys rejected."""
-    entries = parse_key_values(text)
-    unknown = sorted(set(entries) - set(_SCENE_KEYS))
-    if unknown:
-        raise ValueError(f"unknown scene key(s): {', '.join(unknown)}")
-    missing = [key for key in _SCENE_KEYS if key not in entries]
-    if missing:
-        raise ValueError(f"missing scene key(s): {', '.join(missing)}")
+    entries = parse_key_values(text, _SCENE_KEYS, "scene")
     layout = layout_from_entries(entries)
     bits = entries["occupancy"]
     if set(bits) - {"0", "1"}:

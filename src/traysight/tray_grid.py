@@ -1,7 +1,8 @@
 """Tray geometry: key=value layout configs, slot-index to pixel-rectangle math, slot means.
 
 Slot indices run left to right within a row, rows top to bottom; that
-order fixes the occupancy bitstring everywhere else in the package.
+order fixes the occupancy bitstring everywhere else in the package. Slot
+means, the occupancy map and synthetic trays all go through ``slot_grid``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "layout_from_entries",
     "parse_key_values",
     "parse_layout",
+    "slot_grid",
     "slot_means",
     "slot_rect",
 ]
@@ -70,8 +72,8 @@ class TrayLayout:
         return astuple(self)
 
 
-def parse_key_values(text: str) -> dict[str, str]:
-    """Parse the line-oriented ``key = value`` dialect ('#' comments, LF or CRLF)."""
+def parse_key_values(text: str, keys: tuple[str, ...], kind: str) -> dict[str, str]:
+    """Parse the ``key = value`` dialect ('#' comments, LF or CRLF); exactly ``keys`` required."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -87,23 +89,22 @@ def parse_key_values(text: str) -> dict[str, str]:
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
+    unknown = sorted(set(entries) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s): {', '.join(unknown)}")
+    missing = [key for key in keys if key not in entries]
+    if missing:
+        raise ValueError(f"missing {kind} key(s): {', '.join(missing)}")
     return entries
 
 
 def parse_layout(text: str) -> TrayLayout:
     """Parse a layout config; all eight keys are required, unknown keys rejected."""
-    entries = parse_key_values(text)
-    unknown = sorted(set(entries) - set(LAYOUT_KEYS))
-    if unknown:
-        raise ValueError(f"unknown layout key(s): {', '.join(unknown)}")
-    return layout_from_entries(entries)
+    return layout_from_entries(parse_key_values(text, LAYOUT_KEYS, "layout"))
 
 
 def layout_from_entries(entries: dict[str, str]) -> TrayLayout:
-    """Build a TrayLayout from parsed ``key = value`` entries; keys besides LAYOUT_KEYS are ignored."""
-    missing = [key for key in LAYOUT_KEYS if key not in entries]
-    if missing:
-        raise ValueError(f"missing layout key(s): {', '.join(missing)}")
+    """Build a TrayLayout from parsed entries holding every LAYOUT_KEYS key; others are ignored."""
     values = {}
     for key in LAYOUT_KEYS:
         try:
@@ -126,28 +127,34 @@ def slot_rect(layout: TrayLayout, index: int) -> Rect:
     )
 
 
+def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
+    """Zero-copy ``(rows, cols, slot_h, slot_w, ...)`` view of every slot of ``array``.
+
+    ``array`` is (height, width, ...); the view is writeable only if ``array`` is.
+    Raises ValueError unless ``array`` is contiguous and the layout fits.
+    """
+    height, width = array.shape[:2]
+    last = slot_rect(layout, layout.slot_count - 1)
+    if last.x + last.w > width or last.y + last.h > height:
+        raise ValueError(f"{last} does not fit inside a {width}x{height} image")
+    # The bottom-right slot's fit check bounds every address the view holds. Not
+    # as_strided: repeated use of its __array_interface__ grew peak RSS ~1.5 MB (numpy 2.4).
+    dy, dx = array.strides[:2]
+    return np.ndarray(
+        shape=(layout.rows, layout.cols, layout.slot_h, layout.slot_w) + array.shape[2:],
+        dtype=array.dtype,
+        buffer=array,
+        offset=layout.origin_y * dy + layout.origin_x * dx,
+        strides=(layout.pitch_y * dy, layout.pitch_x * dx, dy, dx) + array.strides[2:],
+    )
+
+
 def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:
     """Every slot's mean intensity, in slot-index order: its pixel sum over slot_w*slot_h.
 
-    One int64 reduction over a zero-copy view of the slot grid gives the sums. Each
-    mean is then the same Python int division that ``mean_intensity(histogram(crop(...)))``
-    performs, so the two are bit-identical. Raises ValueError unless the layout fits.
+    The int64 sums come from ``slot_grid``; dividing them as ``mean_intensity`` does keeps
+    each mean bit-identical to the histogram oracle. Raises ValueError unless the layout fits.
     """
-    last = slot_rect(layout, layout.slot_count - 1)
-    if last.x + last.w > image.width or last.y + last.h > image.height:
-        raise ValueError(f"{last} does not fit inside a {image.width}x{image.height} image")
-    # (rows, cols, slot_h, slot_w) view of the slots; the last slot is the
-    # bottom-right one, so the fit check bounds every address it reads. Not
-    # as_strided: it goes through __array_interface__, whose repeated use grew
-    # peak RSS by about 1.5 MB under numpy 2.4.
-    pixels = image.pixels
-    dy, dx = pixels.strides
-    slots = np.ndarray(
-        shape=(layout.rows, layout.cols, layout.slot_h, layout.slot_w),
-        dtype=pixels.dtype,
-        buffer=pixels,
-        offset=layout.origin_y * dy + layout.origin_x * dx,
-        strides=(layout.pitch_y * dy, layout.pitch_x * dx, dy, dx),
-    )
+    slots = slot_grid(image.pixels, layout)
     area = layout.slot_w * layout.slot_h
     return [total / area for total in slots.sum(axis=(2, 3), dtype=np.int64).ravel().tolist()]

@@ -184,6 +184,24 @@ class TestInspect:
         assert tuple(rgb[7, 7]) == (0, 200, 0)  # slot 0 occupied
         assert tuple(rgb[7, 19]) == (200, 0, 0)  # slot 1 empty
 
+    def test_unwritable_map_exit_2_before_any_record(self, tmp_path, capsys):
+        layout_path, refs_path = calibrate_presence_files(tmp_path)
+        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=15)
+        capsys.readouterr()
+        code = main([
+            "inspect",
+            "--image", str(tray_path),
+            "--layout", str(layout_path),
+            "--refs", str(refs_path),
+            "--tray-id", "T1",
+            "--map", str(tmp_path / "missing" / "map.ppm"),
+        ])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error: ")
+
 
 class TestMalformedInspectFiles:
     """Whatever the refs or image file holds, inspect exits 2 with one error line."""

@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from traysight.cli import BACKGROUND_COLOR, EMPTY_COLOR, OCCUPIED_COLOR, _render_map
 from traysight.imaging import GrayImage, Rect, crop, histogram
+from traysight.presence import OccupancyResult
 from traysight.stats import mean_intensity
-from traysight.tray_grid import TrayLayout, parse_layout, slot_means, slot_rect
+from traysight.synthgen import SceneSpec, generate_tray
+from traysight.tray_grid import TrayLayout, parse_layout, slot_grid, slot_means, slot_rect
 
 LAYOUT_TEXT = (
     "rows=4\ncols=5\norigin_x=10\norigin_y=12\npitch_x=60\npitch_y=80\nslot_w=50\nslot_h=70"
@@ -124,10 +127,10 @@ def fitted_image(layout, margin_x, margin_y, seed=0):
 
 
 @st.composite
-def layouts_with_images(draw):
+def layouts(draw):
     slot_w = draw(st.integers(1, 6))
     slot_h = draw(st.integers(1, 6))
-    layout = TrayLayout(
+    return TrayLayout(
         rows=draw(st.integers(1, 4)),
         cols=draw(st.integers(1, 4)),
         origin_x=draw(st.integers(0, 5)),
@@ -137,6 +140,11 @@ def layouts_with_images(draw):
         slot_w=slot_w,
         slot_h=slot_h,
     )
+
+
+@st.composite
+def layouts_with_images(draw):
+    layout = draw(layouts())
     last = slot_rect(layout, layout.slot_count - 1)
     # Margin 0 is an exact fit; a margin below the pitch gap leaves the last
     # gap hanging past the image edge.
@@ -174,3 +182,109 @@ class TestSlotMeans:
             slot_means(image, layout)
         assert str(slot_rect(layout, 5)) in str(info.value)
         assert f"{image.width}x{image.height}" in str(info.value)
+
+
+ONE_BY_ONE = TrayLayout(1, 1, 0, 0, 1, 1, 1, 1)
+EXACT_FIT = TrayLayout(3, 3, 0, 0, 9, 9, 9, 9)  # slots tile the pitch grid
+PITCH_GAPS = TrayLayout(2, 3, 1, 2, 7, 6, 4, 3)
+
+
+def reference_tray(spec):
+    """generate_tray slot by slot: the background draw, then one draw per slot rectangle."""
+    layout = spec.layout
+    height = layout.origin_y + layout.rows * layout.pitch_y
+    width = layout.origin_x + layout.cols * layout.pitch_x
+    rng = np.random.default_rng(spec.seed)
+    canvas = rng.normal(spec.background, spec.sigma, size=(height, width))
+    for i, occupied in enumerate(spec.occupancy):
+        r = slot_rect(layout, i)
+        mu = spec.mu_with if occupied else spec.mu_without
+        canvas[r.y : r.y + r.h, r.x : r.x + r.w] = rng.normal(mu, spec.sigma, size=(r.h, r.w))
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+
+
+def reference_map(image, layout, bits):
+    """_render_map slot by slot: paint each slot rectangle in its bit's colour."""
+    rgb = np.full((image.height, image.width, 3), BACKGROUND_COLOR, dtype=np.uint8)
+    for i, bit in enumerate(bits):
+        r = slot_rect(layout, i)
+        rgb[r.y : r.y + r.h, r.x : r.x + r.w] = OCCUPIED_COLOR if bit else EMPTY_COLOR
+    return rgb
+
+
+def slot_bits(layout):
+    return st.lists(st.sampled_from([0, 1]), min_size=layout.slot_count, max_size=layout.slot_count)
+
+
+@st.composite
+def scenes(draw):
+    layout = draw(layouts())
+    level = st.floats(0, 255)
+    return SceneSpec(
+        layout,
+        draw(slot_bits(layout)),
+        mu_with=draw(level),
+        mu_without=draw(level),
+        sigma=draw(st.floats(0, 100)),
+        background=draw(level),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@st.composite
+def layouts_images_bits(draw):
+    layout, image = draw(layouts_with_images())
+    return layout, image, tuple(draw(slot_bits(layout)))
+
+
+def alternating(layout):
+    return tuple(i % 2 for i in range(layout.slot_count))
+
+
+class TestSlotGrid:
+    @settings(deadline=None)
+    @given(scenes())
+    @example(SceneSpec(ONE_BY_ONE, (1,), 200.0, 20.0, 30.0, 90.0, 5))
+    @example(SceneSpec(EXACT_FIT, alternating(EXACT_FIT), 130.0, 50.0, 40.0, 85.0, 2**64 - 1))
+    @example(SceneSpec(PITCH_GAPS, alternating(PITCH_GAPS), 0.0, 255.0, 100.0, 128.0, 0))
+    def test_generate_tray_matches_per_slot_draws(self, spec):
+        image, truth = generate_tray(spec)
+        assert image.pixels.tobytes() == reference_tray(spec).tobytes()
+        assert truth == spec.occupancy
+
+    @settings(deadline=None)
+    @given(layouts_images_bits())
+    @example((ONE_BY_ONE, GrayImage(np.array([[7]])), (1,)))
+    @example((EXACT_FIT, fitted_image(EXACT_FIT, 0, 0), alternating(EXACT_FIT)))
+    @example((PITCH_GAPS, fitted_image(PITCH_GAPS, 1, 2), alternating(PITCH_GAPS)))
+    def test_render_map_matches_per_slot_painting(self, case):
+        layout, image, bits = case
+        rgb = _render_map(image, layout, OccupancyResult(bits, (False,) * len(bits)))
+        assert rgb.tobytes() == reference_map(image, layout, bits).tobytes()
+
+    @settings(deadline=None)
+    @given(layouts_with_images())
+    @example((ONE_BY_ONE, GrayImage(np.array([[0]]))))
+    @example((EXACT_FIT, fitted_image(EXACT_FIT, 0, 0)))
+    @example((PITCH_GAPS, fitted_image(PITCH_GAPS, 1, 2)))
+    def test_read_only_image_view_and_write_through(self, case):
+        layout, image = case
+        grid = slot_grid(image.pixels, layout)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0, 0, 0] = 0
+        pixels = image.pixels.copy()
+        expected = image.pixels.copy()
+        view = slot_grid(pixels, layout)
+        for i in range(layout.slot_count):
+            r = slot_rect(layout, i)
+            row, col = divmod(i, layout.cols)
+            assert np.array_equal(grid[row, col], image.pixels[r.y : r.y + r.h, r.x : r.x + r.w])
+            expected[r.y : r.y + r.h, r.x : r.x + r.w] ^= 0xFF
+        view ^= 0xFF  # flips every bit, so each slot pixel changes
+        assert np.array_equal(pixels, expected)
+
+    def test_non_contiguous_array_rejected(self):
+        pixels = np.zeros((10, 20), dtype=np.uint8)[:, ::2]
+        with pytest.raises(ValueError):
+            slot_grid(pixels, TrayLayout(1, 1, 0, 0, 2, 2, 2, 2))
