@@ -98,18 +98,16 @@ def calibrate_placement(
     Fewer than 2 samples is a hard error; 2 <= n < min_n succeeds but emits
     an UndersampledWarning.
     """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError(f"placement calibration needs at least 2 samples, got {len(samples)}")
     values = [_roi_mean(image, roi) for image in samples]
     n = len(values)
+    model = PlacementModel(roi=roi, n=n, mean_value=sample_mean(values), std_value=sample_std(values), z=z)
     if n < min_n:
         warnings.warn(
             f"under-sampled calibration: n={n} < min_n={min_n}",
             UndersampledWarning,
             stacklevel=2,
         )
-    return PlacementModel(roi=roi, n=n, mean_value=sample_mean(values), std_value=sample_std(values), z=z)
+    return model
 
 
 def verify_value(value: float, model: PlacementModel) -> PlacementVerdict:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fmt import format_decimal
 from .imaging import GrayImage, Rect
-from .tray_grid import LAYOUT_KEYS, TrayLayout, layout_from_entries, parse_key_values, slot_grid
+from .tray_grid import LAYOUT_KEYS, TrayLayout, parse_key_values, slot_grid
 
 __all__ = [
     "SceneSpec",
@@ -26,7 +26,8 @@ __all__ = [
 ]
 
 _SCENE_FLOAT_KEYS = ("mu_with", "mu_without", "sigma", "background")
-_SCENE_KEYS = LAYOUT_KEYS + ("occupancy",) + _SCENE_FLOAT_KEYS + ("seed",)
+_SCENE_TYPES = {**dict.fromkeys(LAYOUT_KEYS, int), "occupancy": str,
+                **dict.fromkeys(_SCENE_FLOAT_KEYS, float), "seed": int}
 
 
 @dataclass(frozen=True)
@@ -48,17 +49,19 @@ class SceneSpec:
                 f"occupancy has {len(self.occupancy)} entries, "
                 f"layout expects {self.layout.slot_count}"
             )
-        for name, value in (
-            ("mu_with", self.mu_with),
-            ("mu_without", self.mu_without),
-            ("background", self.background),
-        ):
-            if not math.isfinite(value) or not 0 <= value <= 255:
-                raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_noise(self.sigma, self.seed, mu_with=self.mu_with, mu_without=self.mu_without,
+                     background=self.background)
+
+
+def _check_noise(sigma: float, seed: int, **means: float) -> None:
+    """Every mean in [0, 255], sigma finite and non-negative, seed a 64-bit unsigned integer."""
+    for name, value in means.items():
+        if not math.isfinite(value) or not 0 <= value <= 255:
+            raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -89,12 +92,7 @@ def generate_socket_series(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not math.isfinite(mu) or not 0 <= mu <= 255:
-        raise ValueError(f"mu must lie in [0, 255], got {mu!r}")
-    if not math.isfinite(sigma) or sigma < 0:
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    _check_noise(sigma, seed, mu=mu)
     width = roi.x + roi.w
     height = roi.y + roi.h
     rng = np.random.default_rng(seed)
@@ -120,24 +118,9 @@ def format_scene(spec: SceneSpec) -> str:
 
 def parse_scene(text: str) -> SceneSpec:
     """Parse a scene manifest; all keys required, unknown keys rejected."""
-    entries = parse_key_values(text, _SCENE_KEYS, "scene")
-    layout = layout_from_entries(entries)
-    bits = entries["occupancy"]
+    values = parse_key_values(text, _SCENE_TYPES, "scene")
+    layout = TrayLayout(*(values.pop(key) for key in LAYOUT_KEYS))
+    bits = values.pop("occupancy")
     if set(bits) - {"0", "1"}:
         raise ValueError(f"occupancy must be a string of 0/1, got {bits!r}")
-    floats = {}
-    for key in _SCENE_FLOAT_KEYS:
-        try:
-            floats[key] = float(entries[key])
-        except ValueError:
-            raise ValueError(f"scene key {key!r} must be a number, got {entries[key]!r}") from None
-    try:
-        seed = int(entries["seed"])
-    except ValueError:
-        raise ValueError(f"scene key 'seed' must be an integer, got {entries['seed']!r}") from None
-    return SceneSpec(
-        layout=layout,
-        occupancy=tuple(c == "1" for c in bits),
-        seed=seed,
-        **floats,
-    )
+    return SceneSpec(layout=layout, occupancy=tuple(c == "1" for c in bits), **values)

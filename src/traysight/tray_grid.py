@@ -16,7 +16,6 @@ from .imaging import GrayImage, Rect
 __all__ = [
     "LAYOUT_KEYS",
     "TrayLayout",
-    "layout_from_entries",
     "parse_key_values",
     "parse_layout",
     "slot_grid",
@@ -72,8 +71,8 @@ class TrayLayout:
         return astuple(self)
 
 
-def parse_key_values(text: str, keys: tuple[str, ...], kind: str) -> dict[str, str]:
-    """Parse the ``key = value`` dialect ('#' comments, LF or CRLF); exactly ``keys`` required."""
+def parse_key_values(text: str, types: dict[str, type], kind: str) -> dict:
+    """Parse the ``key = value`` dialect ('#' comments, LF or CRLF); exactly ``types``' keys, each converted."""
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,29 +88,25 @@ def parse_key_values(text: str, keys: tuple[str, ...], kind: str) -> dict[str, s
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
-    unknown = sorted(set(entries) - set(keys))
+    unknown = sorted(set(entries) - set(types))
     if unknown:
         raise ValueError(f"unknown {kind} key(s): {', '.join(unknown)}")
-    missing = [key for key in keys if key not in entries]
+    missing = [key for key in types if key not in entries]
     if missing:
         raise ValueError(f"missing {kind} key(s): {', '.join(missing)}")
-    return entries
+    values = {}
+    for key, convert in types.items():
+        try:
+            values[key] = convert(entries[key])
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise ValueError(f"{kind} key {key!r} must be {noun}, got {entries[key]!r}") from None
+    return values
 
 
 def parse_layout(text: str) -> TrayLayout:
     """Parse a layout config; all eight keys are required, unknown keys rejected."""
-    return layout_from_entries(parse_key_values(text, LAYOUT_KEYS, "layout"))
-
-
-def layout_from_entries(entries: dict[str, str]) -> TrayLayout:
-    """Build a TrayLayout from parsed entries holding every LAYOUT_KEYS key; others are ignored."""
-    values = {}
-    for key in LAYOUT_KEYS:
-        try:
-            values[key] = int(entries[key])
-        except ValueError:
-            raise ValueError(f"layout key {key!r} must be an integer, got {entries[key]!r}") from None
-    return TrayLayout(**values)
+    return TrayLayout(**parse_key_values(text, dict.fromkeys(LAYOUT_KEYS, int), "layout"))
 
 
 def slot_rect(layout: TrayLayout, index: int) -> Rect:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,47 @@ class TestInspect:
         assert len(out.err.splitlines()) == 1
         assert out.err.startswith("error: ")
 
+    def test_layout_defaults_to_the_refs_layout(self, tmp_path, capsys):
+        layout_path, refs_path = calibrate_presence_files(tmp_path)
+        occupancy = tuple(c == "1" for c in "10101111011111100111")
+        tray_path = write_tray(tmp_path, "tray.pgm", occupancy, seed=16)
+        capsys.readouterr()
+        runs = []
+        for name, layout_args in (("given", ["--layout", str(layout_path)]), ("stored", [])):
+            map_path = tmp_path / f"{name}.ppm"
+            code = main([
+                "inspect",
+                "--image", str(tray_path),
+                *layout_args,
+                "--refs", str(refs_path),
+                "--tray-id", "T1",
+                "--map", str(map_path),
+            ])
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err, map_path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == "PRESENCE T1 10101111011111100111\n"
+
+    def test_mismatched_layout_one_error_line(self, tmp_path, capsys):
+        _, refs_path = calibrate_presence_files(tmp_path)
+        other_layout = tmp_path / "other.cfg"
+        other_layout.write_text(LAYOUT_TEXT.replace("pitch_x = 12", "pitch_x = 11"))
+        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=14)
+        capsys.readouterr()
+        code = main([
+            "inspect",
+            "--image", str(tray_path),
+            "--layout", str(other_layout),
+            "--refs", str(refs_path),
+            "--tray-id", "T1",
+        ])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert out.err.startswith("error: ")
+        assert "different layout" in out.err
+
 
 class TestMalformedInspectFiles:
     """Whatever the refs or image file holds, inspect exits 2 with one error line."""
@@ -231,6 +273,84 @@ class TestMalformedInspectFiles:
         argv = ["inspect", "--tray-id", "T"]
         for name, path in paths.items():
             argv += [name, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+
+
+
+class TestMalformedInputFiles:
+    """Whatever any other input file holds, its subcommand exits 2 with one error line."""
+
+    CASES = [
+        ("verify", "--model"),
+        ("verify", "--image"),
+        ("calibrate-presence", "--layout"),
+        ("calibrate-presence", "--with"),
+        ("calibrate-presence", "--without"),
+        ("calibrate-placement", "--samples"),
+        ("evaluate", "--pred"),
+        ("evaluate", "--truth"),
+        ("synth", "--scene"),
+    ]
+    IMAGE_FLAGS = {"--image", "--with", "--without", "--samples"}
+
+    @pytest.fixture(scope="class")
+    def argvs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("inputs")
+        layout_path = write_layout(tmp_path)
+        with_path = write_tray(tmp_path, "with.pgm", (True,) * 20, seed=10)
+        without_path = write_tray(tmp_path, "without.pgm", (False,) * 20, seed=11)
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(save_placement_model(
+            PlacementModel(roi=Rect(0, 0, 6, 6), n=30, mean_value=118.0, std_value=2.0)
+        ))
+        socket_path = tmp_path / "socket.pgm"
+        save_gray_image(GrayImage(np.full((6, 6), 120, dtype=np.uint8)), socket_path)
+        labels = "".join(f"{i} {i % 2}\n" for i in range(20))
+        (tmp_path / "pred.txt").write_text(labels)
+        (tmp_path / "truth.txt").write_text(labels)
+        scene_path = tmp_path / "scene.cfg"
+        scene_path.write_text(format_scene(SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)))
+        return {
+            "verify": {"--model": model_path, "--image": socket_path, "--id": "S"},
+            "calibrate-presence": {
+                "--layout": layout_path,
+                "--with": with_path,
+                "--without": without_path,
+                "--out": tmp_path / "refs.txt",
+            },
+            "calibrate-placement": {
+                "--samples": socket_path,
+                "--roi": "0,0,6,6",
+                "--out": tmp_path / "placement.txt",
+            },
+            "evaluate": {"--pred": tmp_path / "pred.txt", "--truth": tmp_path / "truth.txt"},
+            "synth": {"--scene": scene_path, "--out-dir": tmp_path / "synth"},
+        }
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    @settings(deadline=None)
+    @given(
+        contents=st.binary() | st.text().map(str.encode),
+        cut=st.none() | st.floats(0, 1, exclude_max=True),
+    )
+    def test_exit_2_with_one_error_line(self, argvs, command, flag, contents, cut):
+        options = dict(argvs[command])
+        bad = options[flag].with_name("arbitrary")
+        if flag in self.IMAGE_FLAGS and cut is not None:
+            # A valid image cut short anywhere, header or pixel payload.
+            valid = options[flag].read_bytes()
+            contents = valid[: int(cut * len(valid))]
+        bad.write_bytes(contents)
+        options[flag] = bad
+        argv = [command]
+        for name, value in options.items():
+            argv += [name, str(value)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -466,3 +586,36 @@ class TestSynth:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.splitlines() == [line]
+
+
+class TestOptionInventory:
+    """Each subcommand's flags, read from its --help; a new or dropped knob shows up here."""
+
+    INVENTORY = {
+        "calibrate-presence": ({"--with", "--without", "--layout", "--out"}, {"-h"}),
+        "inspect": ({"--image", "--refs", "--tray-id"}, {"-h", "--layout", "--map", "--outlier-k"}),
+        "calibrate-placement": ({"--samples", "--roi", "--out"}, {"-h", "--z", "--min-n"}),
+        "verify": ({"--image", "--model", "--id"}, {"-h"}),
+        "evaluate": ({"--pred", "--truth"}, {"-h"}),
+        "synth": ({"--scene", "--out-dir"}, {"-h", "--require-separable"}),
+    }
+
+    @staticmethod
+    def usage(capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--help"])
+        assert exit_info.value.code == 0
+        # The usage paragraph: optional flags in [brackets], required ones bare.
+        return capsys.readouterr().out.split("\n\n")[0]
+
+    def test_subcommands(self, capsys):
+        usage = self.usage(capsys, [])
+        assert set(re.search(r"\{([^}]*)\}", usage).group(1).split(",")) == set(self.INVENTORY)
+        assert re.findall(r"\[(-[\w-]+)", usage) == ["-h"]
+
+    @pytest.mark.parametrize("command", sorted(INVENTORY))
+    def test_flags_and_required(self, capsys, command):
+        usage = self.usage(capsys, [command])
+        required, optional = self.INVENTORY[command]
+        assert set(re.findall(r"\[(-[\w-]+)", usage)) == optional
+        assert set(re.findall(r"(?<![\w\[-])(--[\w-]+)", usage)) == required
