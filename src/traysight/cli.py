@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refs", required=True, metavar="REFS")
     p.add_argument("--tray-id", required=True, metavar="ID")
     p.add_argument("--map", metavar="PPM", help="write a color occupancy map (P6)")
-    p.add_argument("--outlier-k", type=float, default=4.0, metavar="K",
+    p.add_argument("--outlier-k", type=float, default=presence.DEFAULT_OUTLIER_K, metavar="K",
                    help="flag readings further than K reference separations from both references")
     p.set_defaults(func=cmd_inspect)
 

@@ -8,6 +8,7 @@ Images are immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,27 +113,14 @@ def histogram(img: GrayImage) -> np.ndarray:
 
 
 _SPACE = b" \t\n\r\x0b\x0c"
-
-
-def _skip_space(data: bytes, pos: int) -> int:
-    # PNM headers allow '#' comments running to end of line.
-    while pos < len(data):
-        byte = data[pos]
-        if byte in _SPACE:
-            pos += 1
-        elif byte == 0x23:  # '#'
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
+# Whitespace and '#'-to-end-of-line comments, then a header integer's digits. In
+# bytes mode \s is exactly _SPACE and \d is [0-9].
+_HEADER_INT = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
 
 
 def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_space(data, pos)
-    start = pos
-    while pos < len(data) and 0x30 <= data[pos] <= 0x39:
-        pos += 1
+    match = _HEADER_INT.match(data, pos)
+    start, pos = match.span(1)
     if start == pos:
         raise PnmHeaderError(f"expected integer {what} at byte offset {start}")
     return int(data[start:pos]), pos

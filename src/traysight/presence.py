@@ -29,6 +29,7 @@ __all__ = [
 
 _STORE_MAGIC = "TRAYSIGHT-PRESENCE"
 _STORE_VERSION = 1
+DEFAULT_OUTLIER_K = 4.0  # flag readings further than 4 reference separations from both
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class PresenceReferenceSet:
         object.__setattr__(self, "slot_refs", tuple(self.slot_refs))
         if len(self.slot_refs) != self.layout.slot_count:
             raise ValueError(
-                f"reference set has {len(self.slot_refs)} slots, "
-                f"layout expects {self.layout.slot_count}"
+                f"slot-count mismatch: layout expects {self.layout.slot_count} slots, "
+                f"got {len(self.slot_refs)}"
             )
         for i, ref in enumerate(self.slot_refs):
             for name, value in (("with", ref.value_with), ("without", ref.value_without)):
@@ -110,7 +111,7 @@ def inspect_tray(
     image: GrayImage,
     layout: TrayLayout,
     refs: PresenceReferenceSet,
-    outlier_k: float = 4.0,
+    outlier_k: float = DEFAULT_OUTLIER_K,
 ) -> OccupancyResult:
     """Classify every slot of ``image`` against calibrated references.
 
@@ -155,14 +156,8 @@ def load_presence_refs(text: str) -> PresenceReferenceSet:
         layout = TrayLayout(*(int(p) for p in store_fields(records[0], "layout", 8)))
     except ValueError as exc:
         raise ValueError(f"malformed layout line: {exc}") from None
-    slot_lines = records[1:]
-    if len(slot_lines) != layout.slot_count:
-        raise ValueError(
-            f"slot-count mismatch: layout expects {layout.slot_count} slots, "
-            f"file has {len(slot_lines)}"
-        )
     refs = []
-    for i, line in enumerate(slot_lines):
+    for i, line in enumerate(records[1:]):
         parts = line.split()
         if len(parts) != 6 or parts[0] != "slot" or parts[2] != "with" or parts[4] != "without":
             raise ValueError(f"malformed slot line: {line!r}")

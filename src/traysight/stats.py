@@ -59,7 +59,7 @@ def sample_std(values: Sequence[float]) -> float:
     xs = _as_floats(values)
     if len(xs) < 2:
         raise ValueError(f"need at least 2 samples for a standard deviation, got {len(xs)}")
-    mean = sum(xs) / len(xs)
+    mean = sample_mean(xs)
     return math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1))
 
 

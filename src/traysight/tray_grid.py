@@ -3,11 +3,13 @@
 Slot indices run left to right within a row, rows top to bottom; that
 order fixes the occupancy bitstring everywhere else in the package. Slot
 means, the occupancy map and synthetic trays all go through ``slot_grid``.
+``LAYOUT_KEYS`` is ``TrayLayout``'s dataclass field order, so it pairs with
+``TrayLayout.fields()`` wherever a layout is written out or read back by position.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import dataclasses
 
 import numpy as np
 
@@ -23,19 +25,8 @@ __all__ = [
     "slot_rect",
 ]
 
-LAYOUT_KEYS = (
-    "rows",
-    "cols",
-    "origin_x",
-    "origin_y",
-    "pitch_x",
-    "pitch_y",
-    "slot_w",
-    "slot_h",
-)
 
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TrayLayout:
     """Grid of equally pitched slot rectangles anchored at (origin_x, origin_y)."""
 
@@ -67,8 +58,11 @@ class TrayLayout:
         return self.rows * self.cols
 
     def fields(self) -> tuple[int, ...]:
-        """The eight layout integers in LAYOUT_KEYS order (the calibration fingerprint)."""
-        return astuple(self)
+        """The eight integers in field order, which LAYOUT_KEYS names (the calibration fingerprint)."""
+        return dataclasses.astuple(self)
+
+
+LAYOUT_KEYS = tuple(field.name for field in dataclasses.fields(TrayLayout))
 
 
 def parse_key_values(text: str, types: dict[str, type], kind: str) -> dict:

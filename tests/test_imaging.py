@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from traysight.imaging import (
@@ -24,6 +24,91 @@ from traysight.imaging import (
 
 def random_image(rng, height, width):
     return GrayImage(rng.integers(0, 256, size=(height, width)))
+
+
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def _oracle_skip_space(data, pos):
+    # The byte-by-byte header scanner decode_pnm used before its regex, kept as the oracle.
+    while pos < len(data):
+        byte = data[pos]
+        if byte in _SPACE:
+            pos += 1
+        elif byte == 0x23:  # '#'
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def _oracle_read_header_int(data, pos, what):
+    pos = _oracle_skip_space(data, pos)
+    start = pos
+    while pos < len(data) and 0x30 <= data[pos] <= 0x39:
+        pos += 1
+    if start == pos:
+        raise PnmHeaderError(f"expected integer {what} at byte offset {start}")
+    return int(data[start:pos]), pos
+
+
+def oracle_decode_pnm(data):
+    """decode_pnm with the byte-scanning header reader; P6 goes through scalar to_gray."""
+    magic = bytes(data[:2])
+    if magic not in (b"P5", b"P6"):
+        raise PnmHeaderError(f"not a binary PGM/PPM (magic {magic!r})")
+    width, pos = _oracle_read_header_int(data, 2, "width")
+    height, pos = _oracle_read_header_int(data, pos, "height")
+    maxval, pos = _oracle_read_header_int(data, pos, "maxval")
+    if width < 1 or height < 1:
+        raise PnmHeaderError(f"bad image dimensions {width}x{height}")
+    if maxval != 255:
+        raise PnmMaxvalError(f"unsupported maxval {maxval} (only 255 is accepted)")
+    if pos >= len(data) or data[pos] not in _SPACE:
+        raise PnmHeaderError("missing whitespace separator after maxval")
+    pos += 1
+    channels = 1 if magic == b"P5" else 3
+    need = width * height * channels
+    have = len(data) - pos
+    if have < need:
+        raise PnmDataError(f"pixel data truncated: need {need} bytes, have {have}")
+    payload = data[pos : pos + need]
+    if channels == 1:
+        return [list(payload[y * width : (y + 1) * width]) for y in range(height)]
+    return [
+        [to_gray(*payload[3 * (y * width + x) : 3 * (y * width + x) + 3]) for x in range(width)]
+        for y in range(height)
+    ]
+
+
+def _outcome(decode, data):
+    try:
+        result = decode(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.pixels.tolist() if isinstance(result, GrayImage) else result
+
+
+def _comments(*ends):
+    body = st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
+    return st.builds(lambda text, end: b"#" + text + end, body, st.sampled_from(ends))
+
+
+_space = st.sampled_from([bytes([b]) for b in _SPACE])
+_number = st.sampled_from([b"0", b"1", b"2", b"3", b"01"]) | st.integers(0, 10**6).map(b"%d".__mod__)
+_header_token = _space | _comments(b"\r", b"\n", b"") | _number | st.sampled_from([b"255", b"254"])
+_gaps = st.lists(_space | _comments(b"\r", b"\n"), min_size=1, max_size=3).map(b"".join)
+# Either a header-shaped sequence (width, height and maxval between gaps) or any mix of tokens.
+_header = st.tuples(
+    _gaps | st.just(b""), _number, _gaps, _number, _gaps, st.just(b"255"), _space
+).map(b"".join)
+pnm_bytes = st.builds(
+    lambda magic, header, payload: magic + header + payload,
+    st.sampled_from([b"P5", b"P6"]),
+    _header | st.lists(_header_token, max_size=12).map(b"".join),
+    st.binary(max_size=40),
+)
 
 
 class TestGrayImage:
@@ -229,6 +314,23 @@ class TestPnmCodec:
         assert decode_pnm(data).pixels.tolist() == img.pixels.tolist()
         assert encode_p5(load_gray_image(path)) == data
         assert data.endswith(img.pixels.tobytes())
+
+    @given(pnm_bytes)
+    @example(b"P5#a\n2#b\r1#c\n255\n\x01\x02")
+    @example(b"P52 1 255\n\x01\x02")
+    @example(b"P5 2 1 # comment runs to EOF")
+    @example(b"P6 1 1 255 # comment runs to EOF")
+    def test_header_scan_matches_byte_scanner(self, data):
+        assert _outcome(decode_pnm, data) == _outcome(oracle_decode_pnm, data)
+
+    def test_every_byte_between_header_tokens_matches_byte_scanner(self):
+        for byte in (bytes([b]) for b in range(256)):
+            for data in (
+                b"P5" + byte + b"1 1 255 \x07",
+                b"P5 1 1" + byte + b"255 \x07",
+                b"P5 1 1 255" + byte + b"\x07",
+            ):
+                assert _outcome(decode_pnm, data) == _outcome(oracle_decode_pnm, data)
 
     def test_encode_p6_validates_input(self):
         with pytest.raises(ValueError):

@@ -279,6 +279,16 @@ class TestReferenceStore:
         with pytest.raises(ValueError, match="slot-count mismatch"):
             load_presence_refs(text)
 
+    def test_malformed_slot_line_before_slot_count(self):
+        text = (
+            "TRAYSIGHT-PRESENCE 1\n"
+            "layout 4 5 10 12 60 80 50 70\n"
+            "slot 0 with 120.0 without 40.0\n"
+            "slot 1 with 120.0\n"
+        )
+        with pytest.raises(ValueError, match="malformed slot line"):
+            load_presence_refs(text)
+
     def test_version_mismatch(self):
         with pytest.raises(ValueError, match="version"):
             load_presence_refs("TRAYSIGHT-PRESENCE 2\nlayout 1 1 0 0 4 4 4 4\n")
@@ -312,6 +322,11 @@ class TestReferenceSetInvariants:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expects 6"):
             make_refs(small_layout(), [(120.0, 40.0)])
+
+    def test_wrong_length_message(self):
+        with pytest.raises(ValueError) as info:
+            make_refs(small_layout(), [(120.0, 40.0)])
+        assert str(info.value) == "slot-count mismatch: layout expects 6 slots, got 1"
 
     def test_out_of_range_value_rejected(self):
         layout = TrayLayout(1, 1, 0, 0, 4, 4, 4, 4)
