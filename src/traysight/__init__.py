@@ -2,7 +2,7 @@
 
 Two detectors built on the same scalar: the mean intensity of a region's
 256-bin histogram, computed as its integer pixel sum over its pixel count
-(``slot_means``). Tray slots are classified occupied/empty by nearest
+(``tray_grid.slot_sums``). Tray slots are classified occupied/empty by nearest
 calibrated reference; socket placements pass/fail a z-score tolerance
 band around the calibrated mean.
 """

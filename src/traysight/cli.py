@@ -56,8 +56,11 @@ def _render_map(image, layout, result) -> np.ndarray:
     rgb = np.empty((image.height, image.width, 3), dtype=np.uint8)
     rgb[0] = BACKGROUND_COLOR
     rgb[1:] = rgb[0]
-    occupied = np.reshape(result.bits, (layout.rows, layout.cols, 1, 1, 1))
-    tray_grid.slot_grid(rgb, layout)[...] = np.where(occupied, OCCUPIED_COLOR, EMPTY_COLOR)
+    palette = np.array([EMPTY_COLOR, OCCUPIED_COLOR], dtype=np.uint8)
+    slots = tray_grid.slot_grid(rgb, layout)
+    # Paint each slot's top row, then copy it down the slot, as for the background.
+    slots[:, :, 0] = palette.take(np.reshape(result.bits, (layout.rows, layout.cols, 1)), axis=0)
+    slots[:, :, 1:] = slots[:, :, :1]
     return rgb
 
 

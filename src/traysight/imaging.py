@@ -1,8 +1,11 @@
 """8-bit grayscale rasters: PGM/PPM codec, grayscale conversion, cropping, histograms.
 
 The 256-bin histogram here is the paper's definition of the detectors' feature
-and the reference they are tested against (see :func:`traysight.tray_grid.slot_means`).
-Images are immutable after construction and safe to share between workers.
+and the reference they are tested against (see :func:`traysight.tray_grid.slot_sums`).
+Images are immutable after construction and safe to share between workers:
+``GrayImage`` copies its pixels unless they are C-contiguous ``uint8`` over a
+``bytes`` object, which nothing can change, so ``decode_pnm`` of ``bytes`` and
+``load_gray_image`` alias the file bytes instead of copying them.
 """
 
 from __future__ import annotations
@@ -50,7 +53,13 @@ class PnmDataError(PnmError):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GrayImage:
-    """Single-channel 8-bit image; ``pixels`` is a read-only (height, width) array."""
+    """Single-channel 8-bit image; ``pixels`` is a read-only (height, width) array.
+
+    Construction copies the pixels, except a C-contiguous ``uint8`` array whose
+    ``.base`` chain ends in a ``bytes`` object: that memory is immutable and numpy
+    refuses to make it writeable, so the image keeps a view of it. Arrays over a
+    ``bytearray`` or a ``memoryview`` are copied.
+    """
 
     pixels: np.ndarray
 
@@ -62,8 +71,12 @@ class GrayImage:
             raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
         if arr.dtype != np.uint8 and (int(arr.min()) < 0 or int(arr.max()) > 255):
             raise ValueError("pixel values must lie in [0, 255]")
-        arr = arr.astype(np.uint8, copy=True)
-        arr.setflags(write=False)
+        if arr.dtype == np.uint8 and arr.flags.c_contiguous and _over_bytes(arr):
+            # Share the immutable memory through an array object the caller does not hold.
+            arr = arr.view()
+        else:
+            arr = arr.astype(np.uint8, copy=True)
+            arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
     @property
@@ -76,6 +89,13 @@ class GrayImage:
 
     def __repr__(self):
         return f"GrayImage({self.width}x{self.height})"
+
+
+def _over_bytes(arr: np.ndarray) -> bool:
+    base = arr
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return type(base) is bytes
 
 
 @dataclass(frozen=True)
@@ -159,7 +179,7 @@ def decode_pnm(data: bytes) -> GrayImage:
 def encode_p5(img: GrayImage) -> bytes:
     """Canonical binary PGM bytes: ``P5\\n<w> <h>\\n255\\n`` + raw pixel payload."""
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels).data))
 
 
 def encode_p6(rgb: np.ndarray) -> bytes:
@@ -170,7 +190,7 @@ def encode_p6(rgb: np.ndarray) -> bytes:
     if arr.dtype != np.uint8:
         raise ValueError(f"expected uint8 pixels, got dtype {arr.dtype}")
     header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    return header + arr.tobytes()
+    return b"".join((header, np.ascontiguousarray(arr).data))
 
 
 def load_gray_image(path) -> GrayImage:

@@ -14,6 +14,7 @@ shrink toward zero as calibration grows.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,6 +72,10 @@ class PlacementModel:
         if not math.isfinite(self.eps_floor) or self.eps_floor < 0:
             raise ValueError(f"eps_floor must be finite and non-negative, got {self.eps_floor!r}")
 
+    @functools.cached_property
+    def _layout(self) -> TrayLayout:
+        return _roi_layout(self.roi)
+
     @property
     def threshold(self) -> float:
         """Acceptance bound applied to |value - mean_value|."""
@@ -98,7 +103,8 @@ def calibrate_placement(
     Fewer than 2 samples is a hard error; 2 <= n < min_n succeeds but emits
     an UndersampledWarning.
     """
-    values = [_roi_mean(image, roi) for image in samples]
+    layout = _roi_layout(roi)
+    values = [slot_means(image, layout)[0] for image in samples]
     n = len(values)
     model = PlacementModel(roi=roi, n=n, mean_value=sample_mean(values), std_value=sample_std(values), z=z)
     if n < min_n:
@@ -126,12 +132,12 @@ def verify_value(value: float, model: PlacementModel) -> PlacementVerdict:
 
 def verify_placement(image: GrayImage, model: PlacementModel) -> PlacementVerdict:
     """Verdict the socket image: mean intensity over the model ROI vs the tolerance band."""
-    return verify_value(_roi_mean(image, model.roi), model)
+    return verify_value(slot_means(image, model._layout)[0], model)
 
 
-def _roi_mean(image: GrayImage, roi: Rect) -> float:
+def _roi_layout(roi: Rect) -> TrayLayout:
     # The ROI is a one-slot layout, so both detectors share one feature path.
-    return slot_means(image, TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h))[0]
+    return TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h)
 
 
 def save_placement_model(model: PlacementModel) -> str:

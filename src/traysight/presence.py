@@ -9,12 +9,15 @@ flag, never change the bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._fmt import format_decimal, format_store, parse_store, store_fields
 from .imaging import GrayImage
-from .tray_grid import TrayLayout, slot_means
+from .tray_grid import TrayLayout, slot_means, slot_sums
 
 __all__ = [
     "SlotReference",
@@ -30,6 +33,7 @@ __all__ = [
 _STORE_MAGIC = "TRAYSIGHT-PRESENCE"
 _STORE_VERSION = 1
 DEFAULT_OUTLIER_K = 4.0  # flag readings further than 4 reference separations from both
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,13 @@ class PresenceReferenceSet:
                     "the classes cannot be separated"
                 )
 
+    @functools.cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """float64 arrays of value_with, value_without and |value_with - value_without|."""
+        with_ = np.array([ref.value_with for ref in self.slot_refs])
+        without = np.array([ref.value_without for ref in self.slot_refs])
+        return with_, without, np.abs(with_ - without)
+
 
 @dataclass(frozen=True)
 class OccupancyResult:
@@ -76,7 +87,7 @@ class OccupancyResult:
 
     @property
     def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return bytes(self.bits).translate(_BIT_CHARS).decode("ascii")
 
 
 def calibrate_presence(
@@ -126,14 +137,15 @@ def inspect_tray(
             "reference set was calibrated against a different layout: "
             f"{refs.layout.fields()} vs {layout.fields()}"
         )
-    bits = []
-    flags = []
-    for value, ref in zip(slot_means(image, layout), refs.slot_refs):
-        to_with = abs(value - ref.value_with)
-        to_without = abs(value - ref.value_without)
-        bits.append(int(to_with < to_without))  # classify_slot's rule: a tie is empty
-        flags.append(min(to_with, to_without) > outlier_k * abs(ref.value_with - ref.value_without))
-    return OccupancyResult(tuple(bits), tuple(flags))
+    # Sums are integers below 2**53, so each quotient is the correctly rounded one
+    # of slot_means; the ufuncs below are classify_slot's IEEE operations per slot.
+    value = slot_sums(image, layout) / (layout.slot_w * layout.slot_h)
+    with_, without, separation = refs._columns
+    to_with = np.abs(value - with_)
+    to_without = np.abs(value - without)
+    bits = (to_with < to_without).view(np.uint8)  # a tie is empty
+    flags = np.minimum(to_with, to_without) > outlier_k * separation
+    return OccupancyResult(tuple(bits.tolist()), tuple(flags.tolist()))
 
 
 def save_presence_refs(refs: PresenceReferenceSet) -> str:

@@ -1,8 +1,10 @@
 """Tray geometry: key=value layout configs, slot-index to pixel-rectangle math, slot means.
 
 Slot indices run left to right within a row, rows top to bottom; that
-order fixes the occupancy bitstring everywhere else in the package. Slot
-means, the occupancy map and synthetic trays all go through ``slot_grid``.
+order fixes the occupancy bitstring everywhere else in the package. The
+feature path is ``slot_sums``: exact per-slot pixel sums, band by band, which
+``slot_means`` and the presence verdict divide by the slot area. The occupancy
+map and synthetic trays write through ``slot_grid``, a view of every slot.
 ``LAYOUT_KEYS`` is ``TrayLayout``'s dataclass field order, so it pairs with
 ``TrayLayout.fields()`` wherever a layout is written out or read back by position.
 """
@@ -23,6 +25,7 @@ __all__ = [
     "slot_grid",
     "slot_means",
     "slot_rect",
+    "slot_sums",
 ]
 
 
@@ -116,34 +119,71 @@ def slot_rect(layout: TrayLayout, index: int) -> Rect:
     )
 
 
+def _origin(array: np.ndarray, layout: TrayLayout) -> int:
+    """Byte offset of the first slot in ``array``; raises ValueError unless the layout fits.
+
+    The bottom-right slot's fit check bounds every address a slot view holds.
+    """
+    height, width = array.shape[:2]
+    right = layout.origin_x + (layout.cols - 1) * layout.pitch_x + layout.slot_w
+    bottom = layout.origin_y + (layout.rows - 1) * layout.pitch_y + layout.slot_h
+    if right > width or bottom > height:
+        last = slot_rect(layout, layout.slot_count - 1)
+        raise ValueError(f"{last} does not fit inside a {width}x{height} image")
+    dy, dx = array.strides[:2]
+    return layout.origin_y * dy + layout.origin_x * dx
+
+
+def _view(array: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    # Not the stride_tricks helpers: repeated use of their __array_interface__ grew
+    # peak RSS ~1.5 MB (numpy 2.4).
+    return np.ndarray(shape=shape, dtype=array.dtype, buffer=array, offset=offset, strides=strides)
+
+
 def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
     """Zero-copy ``(rows, cols, slot_h, slot_w, ...)`` view of every slot of ``array``.
 
     ``array`` is (height, width, ...); the view is writeable only if ``array`` is.
     Raises ValueError unless ``array`` is contiguous and the layout fits.
     """
-    height, width = array.shape[:2]
-    last = slot_rect(layout, layout.slot_count - 1)
-    if last.x + last.w > width or last.y + last.h > height:
-        raise ValueError(f"{last} does not fit inside a {width}x{height} image")
-    # The bottom-right slot's fit check bounds every address the view holds. Not
-    # as_strided: repeated use of its __array_interface__ grew peak RSS ~1.5 MB (numpy 2.4).
     dy, dx = array.strides[:2]
-    return np.ndarray(
-        shape=(layout.rows, layout.cols, layout.slot_h, layout.slot_w) + array.shape[2:],
-        dtype=array.dtype,
-        buffer=array,
-        offset=layout.origin_y * dy + layout.origin_x * dx,
-        strides=(layout.pitch_y * dy, layout.pitch_x * dx, dy, dx) + array.strides[2:],
+    return _view(
+        array,
+        _origin(array, layout),
+        (layout.rows, layout.cols, layout.slot_h, layout.slot_w) + array.shape[2:],
+        (layout.pitch_y * dy, layout.pitch_x * dx, dy, dx) + array.strides[2:],
     )
+
+
+def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
+    """Every slot's exact pixel sum, in slot-index order, as a 1-D unsigned array.
+
+    Band first: each slot row's ``slot_h`` image rows are summed across the grid's
+    whole width, then each slot's ``slot_w`` columns of those band sums. Each stage
+    accumulates in the smallest unsigned type that holds 255 times its pixel count,
+    so no sum can wrap. Raises ValueError unless the layout fits.
+    """
+    pixels = image.pixels
+    dy, dx = pixels.strides
+    span = (layout.cols - 1) * layout.pitch_x + layout.slot_w
+    bands = _view(
+        pixels,
+        _origin(pixels, layout),
+        (layout.rows, layout.slot_h, span),
+        (layout.pitch_y * dy, dy, dx),
+    ).sum(axis=1, dtype=np.min_scalar_type(255 * layout.slot_h))
+    band_y, band_x = bands.strides
+    cells = _view(
+        bands, 0, (layout.rows, layout.cols, layout.slot_w), (band_y, layout.pitch_x * band_x, band_x)
+    )
+    return cells.sum(axis=2, dtype=np.min_scalar_type(255 * layout.slot_h * layout.slot_w)).ravel()
 
 
 def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:
     """Every slot's mean intensity, in slot-index order: its pixel sum over slot_w*slot_h.
 
-    The int64 sums come from ``slot_grid``; dividing them as ``mean_intensity`` does keeps
+    The sums come from ``slot_sums``; dividing them as ``mean_intensity`` does keeps
     each mean bit-identical to the histogram oracle. Raises ValueError unless the layout fits.
     """
-    slots = slot_grid(image.pixels, layout)
     area = layout.slot_w * layout.slot_h
-    return [total / area for total in slots.sum(axis=(2, 3), dtype=np.int64).ravel().tolist()]
+    return [total / area for total in slot_sums(image, layout).tolist()]

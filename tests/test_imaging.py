@@ -139,6 +139,20 @@ class TestGrayImage:
         src[0, 0] = 99
         assert img.pixels[0, 0] == 0
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            np.frombuffer(b"\x01\x02\x03\x04", np.uint8).reshape(2, 2)[:, ::-1],  # not contiguous
+            np.frombuffer(b"\x01\x00\x02\x00", np.uint16).reshape(1, 2),  # not uint8
+            np.frombuffer(memoryview(b"\x01\x02"), np.uint8).reshape(1, 2),  # base is a memoryview
+        ],
+        ids=["non-contiguous", "uint16", "memoryview"],
+    )
+    def test_copies_unless_contiguous_uint8_over_bytes(self, src):
+        img = GrayImage(src)
+        assert not np.shares_memory(img.pixels, src)
+        assert img.pixels.tolist() == src.tolist()
+
 
 class TestRect:
     def test_rejects_negative_origin(self):
@@ -301,6 +315,24 @@ class TestPnmCodec:
     def test_does_not_alias_input_buffer(self):
         data = bytearray(b"P5\n2 1\n255\n\x01\x02")
         img = decode_pnm(data)
+        data[-2:] = b"\x09\x09"
+        assert img.pixels.tolist() == [[1, 2]]
+        assert not img.pixels.flags.writeable
+
+    def test_aliases_immutable_bytes(self, tmp_path):
+        data = b"P5\n2 1\n255\n\x01\x02"
+        path = tmp_path / "a.pgm"
+        path.write_bytes(data)
+        for img in (decode_pnm(data), load_gray_image(path)):
+            assert img.pixels.tolist() == [[1, 2]]
+            assert not img.pixels.flags.writeable
+            with pytest.raises(ValueError):
+                img.pixels.setflags(write=True)
+        assert np.shares_memory(decode_pnm(data).pixels, np.frombuffer(data, np.uint8))
+
+    def test_read_only_memoryview_over_bytearray_is_copied(self):
+        data = bytearray(b"P5\n2 1\n255\n\x01\x02")
+        img = decode_pnm(memoryview(data).toreadonly())
         data[-2:] = b"\x09\x09"
         assert img.pixels.tolist() == [[1, 2]]
         assert not img.pixels.flags.writeable

@@ -335,3 +335,11 @@ class TestReferenceSetInvariants:
 
     def test_occupancy_result_bitstring(self):
         assert OccupancyResult((1, 0, 1), (False, False, True)).bitstring == "101"
+
+    def test_reference_arrays_are_not_fields(self):
+        layout = small_layout()
+        refs = make_refs(layout, [(120.0, 40.0)] * 6)
+        before = (repr(refs), hash(refs), save_presence_refs(refs))
+        inspect_tray(constant_image(90, 40, 40), layout, refs)
+        assert (repr(refs), hash(refs), save_presence_refs(refs)) == before
+        assert refs == make_refs(layout, [(120.0, 40.0)] * 6)

@@ -11,7 +11,7 @@ from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.presence import OccupancyResult
 from traysight.stats import mean_intensity
 from traysight.synthgen import SceneSpec, generate_tray
-from traysight.tray_grid import TrayLayout, parse_layout, slot_grid, slot_means, slot_rect
+from traysight.tray_grid import TrayLayout, parse_layout, slot_grid, slot_means, slot_rect, slot_sums
 
 LAYOUT_TEXT = (
     "rows=4\ncols=5\norigin_x=10\norigin_y=12\npitch_x=60\npitch_y=80\nslot_w=50\nslot_h=70"
@@ -160,9 +160,31 @@ class TestSlotMeans:
     @example((TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), fitted_image(TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), 0, 0)))
     @example((TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), fitted_image(TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), 1, 2)))
     @example((TrayLayout(3, 3, 0, 0, 9, 9, 9, 9), GrayImage(np.full((27, 27), 255))))
+    # All-255 slots at each accumulator boundary: slot_h 257 and 258 put the band sums
+    # at and past the uint16 limit, areas 256 and 272 the slot sums, and a slot of
+    # 16,843,010 px puts them past the uint32 limit.
+    @example((TrayLayout(1, 2, 0, 0, 2, 257, 1, 257), GrayImage(np.full((257, 3), 255))))
+    @example((TrayLayout(2, 1, 0, 0, 1, 259, 1, 258), GrayImage(np.full((517, 1), 255))))
+    @example((TrayLayout(2, 2, 1, 1, 17, 17, 16, 16), GrayImage(np.full((34, 34), 255))))
+    @example((TrayLayout(2, 2, 1, 1, 17, 17, 17, 16), GrayImage(np.full((34, 35), 255))))
+    @example((
+        TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1),
+        GrayImage(np.full((1, 16_843_010), 255, np.uint8)),
+    ))
     def test_bit_identical_to_histogram_oracle(self, case):
         layout, image = case
         assert slot_means(image, layout) == oracle_means(image, layout)
+
+    @settings(deadline=None)
+    @given(layouts_with_images())
+    def test_sums_are_exact_unsigned_integers(self, case):
+        layout, image = case
+        sums = slot_sums(image, layout)
+        assert sums.dtype.kind == "u" and sums.shape == (layout.slot_count,)
+        assert sums.tolist() == [
+            int(np.arange(256) @ histogram(crop(image, slot_rect(layout, i))))
+            for i in range(layout.slot_count)
+        ]
 
     def test_row_major_python_floats(self):
         layout = TrayLayout(2, 3, 1, 1, 4, 4, 2, 2)
