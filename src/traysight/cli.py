@@ -37,6 +37,12 @@ def _parse_roi(text: str) -> imaging.Rect:
     return imaging.Rect(x, y, w, h)
 
 
+def _check_record_id(value: str, flag: str) -> None:
+    # The id is one field of a stdout record; whitespace would split it or forge a record.
+    if value.split() != [value]:
+        raise ValueError(f"{flag} must be non-empty and contain no whitespace, got {value!r}")
+
+
 def _expand_samples(args_paths) -> list[Path]:
     paths: list[Path] = []
     for raw in args_paths:
@@ -74,6 +80,7 @@ def cmd_calibrate_presence(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    _check_record_id(args.tray_id, "--tray-id")
     refs = presence.load_presence_refs(_read_text(args.refs))
     layout = tray_grid.parse_layout(_read_text(args.layout)) if args.layout else refs.layout
     image = imaging.load_gray_image(args.image)
@@ -104,6 +111,7 @@ def cmd_calibrate_placement(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_record_id(args.id, "--id")
     model = placement.load_placement_model(_read_text(args.model))
     image = imaging.load_gray_image(args.image)
     verdict = placement.verify_placement(image, model)

@@ -67,11 +67,12 @@ class GrayImage:
         arr = np.asarray(self.pixels)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
+        uint8 = arr.dtype == np.uint8  # the dtype proves the range; no scan
+        if not uint8 and not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"pixel values must be integers, got dtype {arr.dtype}")
-        if arr.dtype != np.uint8 and (int(arr.min()) < 0 or int(arr.max()) > 255):
+        if not uint8 and (int(arr.min()) < 0 or int(arr.max()) > 255):
             raise ValueError("pixel values must lie in [0, 255]")
-        if arr.dtype == np.uint8 and arr.flags.c_contiguous and _over_bytes(arr):
+        if uint8 and arr.flags.c_contiguous and _over_bytes(arr):
             # Share the immutable memory through an array object the caller does not hold.
             arr = arr.view()
         else:
@@ -133,17 +134,11 @@ def histogram(img: GrayImage) -> np.ndarray:
 
 
 _SPACE = b" \t\n\r\x0b\x0c"
-# Whitespace and '#'-to-end-of-line comments, then a header integer's digits. In
-# bytes mode \s is exactly _SPACE and \d is [0-9].
-_HEADER_INT = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
-
-
-def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    match = _HEADER_INT.match(data, pos)
-    start, pos = match.span(1)
-    if start == pos:
-        raise PnmHeaderError(f"expected integer {what} at byte offset {start}")
-    return int(data[start:pos]), pos
+# _HEADER reads width, height and maxval in one match: three times whitespace and
+# '#'-to-end-of-line comments, then one integer's digits. In bytes mode \s is
+# exactly _SPACE and \d is [0-9]. Every piece may match empty, so the match never
+# backtracks and each group spans what a token-by-token read would take.
+_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)" * 3)
 
 
 def decode_pnm(data: bytes) -> GrayImage:
@@ -151,9 +146,14 @@ def decode_pnm(data: bytes) -> GrayImage:
     magic = bytes(data[:2])
     if magic not in (b"P5", b"P6"):
         raise PnmHeaderError(f"not a binary PGM/PPM (magic {magic!r})")
-    width, pos = _read_header_int(data, 2, "width")
-    height, pos = _read_header_int(data, pos, "height")
-    maxval, pos = _read_header_int(data, pos, "maxval")
+    header = _HEADER.match(data, 2)
+    width, height, maxval = header.groups()
+    if not (width and height and maxval):
+        first = (width, height, maxval).index(b"")
+        what = ("width", "height", "maxval")[first]
+        raise PnmHeaderError(f"expected integer {what} at byte offset {header.start(first + 1)}")
+    width, height, maxval = int(width), int(height), int(maxval)
+    pos = header.end()
     if width < 1 or height < 1:
         raise PnmHeaderError(f"bad image dimensions {width}x{height}")
     if maxval != 255:

@@ -2,9 +2,10 @@
 
 Slot indices run left to right within a row, rows top to bottom; that
 order fixes the occupancy bitstring everywhere else in the package. The
-feature path is ``slot_sums``: exact per-slot pixel sums, band by band, which
-``slot_means`` and the presence verdict divide by the slot area. The occupancy
-map and synthetic trays write through ``slot_grid``, a view of every slot.
+feature path is ``slot_sums``: exact per-slot pixel sums, which ``slot_means``
+and the presence verdict divide by the slot area. A one-slot layout (the
+socket ROI) is summed in one reduction; a grid is summed band by band. The
+occupancy map and synthetic trays write through ``slot_grid``, a view of every slot.
 ``LAYOUT_KEYS`` is ``TrayLayout``'s dataclass field order, so it pairs with
 ``TrayLayout.fields()`` wherever a layout is written out or read back by position.
 """
@@ -158,12 +159,17 @@ def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
 def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     """Every slot's exact pixel sum, in slot-index order, as a 1-D unsigned array.
 
-    Band first: each slot row's ``slot_h`` image rows are summed across the grid's
-    whole width, then each slot's ``slot_w`` columns of those band sums. Each stage
-    accumulates in the smallest unsigned type that holds 255 times its pixel count,
-    so no sum can wrap. Raises ValueError unless the layout fits.
+    A one-slot layout (a socket ROI) is summed in one reduction over its
+    ``slot_grid`` view. A grid takes the band path: each slot row's ``slot_h``
+    image rows are summed across the grid's whole width, then each slot's
+    ``slot_w`` columns of those band sums, which keeps numpy's inner loops long.
+    Each reduction accumulates in the smallest unsigned type that holds 255 times
+    its pixel count, so no sum can wrap. Raises ValueError unless the layout fits.
     """
     pixels = image.pixels
+    total = np.min_scalar_type(255 * layout.slot_h * layout.slot_w)
+    if layout.slot_count == 1:
+        return slot_grid(pixels, layout).sum(axis=(2, 3), dtype=total).ravel()
     dy, dx = pixels.strides
     span = (layout.cols - 1) * layout.pitch_x + layout.slot_w
     bands = _view(
@@ -176,7 +182,7 @@ def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     cells = _view(
         bands, 0, (layout.rows, layout.cols, layout.slot_w), (band_y, layout.pitch_x * band_x, band_x)
     )
-    return cells.sum(axis=2, dtype=np.min_scalar_type(255 * layout.slot_h * layout.slot_w)).ravel()
+    return cells.sum(axis=2, dtype=total).ravel()
 
 
 def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:

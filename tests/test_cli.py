@@ -246,7 +246,7 @@ class TestInspect:
 
 
 class TestMalformedInputFiles:
-    """Whatever any input file holds, its subcommand exits 2 with one error line."""
+    """Whatever any input file holds, or a bad record id, its subcommand exits 2 with one error line."""
 
     CASES = [
         ("inspect", "--refs"),
@@ -327,6 +327,21 @@ class TestMalformedInputFiles:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+    # A record id is one stdout field: whitespace would split it or forge a record.
+    @pytest.mark.parametrize("command, flag", [("inspect", "--tray-id"), ("verify", "--id")])
+    @pytest.mark.parametrize("ident", ["", "A B", "A\tB", "A\nPRESENCE B 1"])
+    def test_bad_record_id_exit_2_naming_the_flag(self, argvs, command, flag, ident):
+        argv = [command]
+        for name, value in dict(argvs[command], **{flag: ident}).items():
+            argv += [name, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith(f"error: {flag} ")
 
 
 class TestCalibratePlacement:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from traysight import tray_grid
 from traysight.cli import BACKGROUND_COLOR, EMPTY_COLOR, OCCUPIED_COLOR, _render_map
 from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.presence import OccupancyResult
@@ -153,6 +154,10 @@ def layouts_with_images(draw):
     return layout, GrayImage(draw(hnp.arrays(np.uint8, (height, width))))
 
 
+# All-255 and wide enough for one slot, or two side by side, of more than 2**32 // 255 px.
+SATURATED_ROWS = GrayImage(np.full((2, 16_843_010), 255, np.uint8))
+
+
 class TestSlotMeans:
     @settings(deadline=None)
     @given(layouts_with_images())
@@ -171,6 +176,13 @@ class TestSlotMeans:
         TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1),
         GrayImage(np.full((1, 16_843_010), 255, np.uint8)),
     ))
+    # The same limits for one slot, summed in one reduction: areas 257 and 258 put
+    # its sum at and past the uint16 limit, areas 16,843,009 and 16,843,010 at and
+    # past the uint32 limit. Two slots past the uint32 limit keep the band path there.
+    @example((TrayLayout(1, 1, 0, 0, 257, 1, 257, 1), GrayImage(np.full((1, 257), 255))))
+    @example((TrayLayout(1, 1, 2, 1, 43, 6, 43, 6), GrayImage(np.full((7, 45), 255))))
+    @example((TrayLayout(1, 1, 1, 0, 16_843_009, 1, 16_843_009, 1), SATURATED_ROWS))
+    @example((TrayLayout(1, 2, 0, 0, 8_421_505, 2, 8_421_505, 2), SATURATED_ROWS))
     def test_bit_identical_to_histogram_oracle(self, case):
         layout, image = case
         assert slot_means(image, layout) == oracle_means(image, layout)
@@ -185,6 +197,25 @@ class TestSlotMeans:
             int(np.arange(256) @ histogram(crop(image, slot_rect(layout, i))))
             for i in range(layout.slot_count)
         ]
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            TrayLayout(1, 1, 0, 0, 1, 1, 1, 1),
+            TrayLayout(1, 1, 3, 2, 5, 4, 5, 4),
+            TrayLayout(1, 2, 1, 0, 4, 3, 2, 3),
+            TrayLayout(2, 1, 0, 1, 3, 4, 3, 2),
+            TrayLayout(2, 3, 1, 2, 7, 6, 4, 3),
+        ],
+        ids=str,
+    )
+    def test_one_reduction_for_one_slot_band_path_for_grids(self, layout, monkeypatch):
+        # A grid summed in one 4-D reduction gets the same sums, several times slower.
+        calls = []
+        monkeypatch.setattr(tray_grid, "slot_grid", lambda *args: calls.append(args) or slot_grid(*args))
+        image = fitted_image(layout, 1, 1)
+        assert slot_means(image, layout) == oracle_means(image, layout)
+        assert len(calls) == (layout.slot_count == 1)
 
     def test_row_major_python_floats(self):
         layout = TrayLayout(2, 3, 1, 1, 4, 4, 2, 2)
