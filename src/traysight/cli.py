@@ -1,14 +1,16 @@
 """Command-line frontend.
 
-Exit codes: 0 success/OK verdict, 1 NG verdict, 2 operational error.
-Standard output carries only verdict/metric records; everything else
-(warnings, tray maps, diagnostics) goes to the error stream, so stdout
-stays machine-parseable.
+Exit codes: 0 success/OK verdict, 1 NG verdict, 2 operational error, which
+includes a failed write to stdout or stderr. Standard output carries only
+verdict/metric records; everything else (warnings, tray maps, diagnostics)
+goes to the error stream, or nowhere when that is closed, so stdout stays
+machine-parseable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -210,17 +212,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_or_silence(stream) -> None:
+    # After a failed write, point a process stream's fd at devnull, so the
+    # interpreter's exit flush cannot fail again (exit 120). Others are left alone.
+    try:
+        stream.flush()
+    except OSError:
+        if stream is sys.__stdout__ or stream is sys.__stderr__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+
+
 def main(argv=None) -> int:
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:  # closed at start; print(file=None) would use stdout
+            setattr(sys, name, open(os.devnull, "w"))
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed record write is an operational error too
+        return code
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
-        print(f"error: out of memory{detail}", file=sys.stderr)
-        return 2
+        message = f"error: out of memory{detail}"
+    _flush_or_silence(sys.stdout)  # deliver any record already printed before anything else
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _flush_or_silence(sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ shrink toward zero as calibration grows.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,10 +70,7 @@ class PlacementModel:
             raise ValueError(f"z must be finite and positive, got {self.z!r}")
         if not math.isfinite(self.eps_floor) or self.eps_floor < 0:
             raise ValueError(f"eps_floor must be finite and non-negative, got {self.eps_floor!r}")
-
-    @functools.cached_property
-    def _layout(self) -> TrayLayout:
-        return _roi_layout(self.roi)
+        object.__setattr__(self, "_layout", _roi_layout(self.roi))  # verify_placement's layout; not a field
 
     @property
     def threshold(self) -> float:

@@ -9,7 +9,6 @@ flag, never change the bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,30 +51,29 @@ class PresenceReferenceSet:
     slot_refs: tuple[SlotReference, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "slot_refs", tuple(self.slot_refs))
-        if len(self.slot_refs) != self.layout.slot_count:
+        refs = tuple(self.slot_refs)
+        object.__setattr__(self, "slot_refs", refs)
+        if len(refs) != self.layout.slot_count:
             raise ValueError(
-                f"slot-count mismatch: layout expects {self.layout.slot_count} slots, "
-                f"got {len(self.slot_refs)}"
+                f"slot-count mismatch: layout expects {self.layout.slot_count} slots, got {len(refs)}"
             )
-        for i, ref in enumerate(self.slot_refs):
-            for name, value in (("with", ref.value_with), ("without", ref.value_without)):
-                if not math.isfinite(value) or not 0 <= value <= 255:
+        with_ = np.array([ref.value_with for ref in refs])
+        without = np.array([ref.value_without for ref in refs])
+        # NaN and ±inf fail the range test; only the first flagged slot builds a message.
+        valid = (0 <= with_) & (with_ <= 255) & (0 <= without) & (without <= 255) & (with_ != without)
+        if not valid.all():
+            i = int(valid.argmin())
+            for name, value in (("with", refs[i].value_with), ("without", refs[i].value_without)):
+                if not 0 <= value <= 255:
                     raise ValueError(f"slot {i}: {name} reference {value!r} outside [0, 255]")
-            if ref.value_with == ref.value_without:
-                row, col = divmod(i, self.layout.cols)
-                raise ValueError(
-                    f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
-                    f"identical with/without references ({ref.value_with!r}); "
-                    "the classes cannot be separated"
-                )
-
-    @functools.cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """float64 arrays of value_with, value_without and |value_with - value_without|."""
-        with_ = np.array([ref.value_with for ref in self.slot_refs])
-        without = np.array([ref.value_without for ref in self.slot_refs])
-        return with_, without, np.abs(with_ - without)
+            row, col = divmod(i, self.layout.cols)
+            raise ValueError(
+                f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
+                f"identical with/without references ({refs[i].value_with!r}); "
+                "the classes cannot be separated"
+            )
+        # The arrays inspect_tray reads; not fields, so repr, eq, hash and the store ignore them.
+        object.__setattr__(self, "_columns", (with_, without, np.abs(with_ - without)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from traysight.placement import PlacementModel, save_placement_model
 from traysight.synthgen import SceneSpec, format_scene, generate_socket_series, generate_tray
 from traysight.tray_grid import TrayLayout
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 LAYOUT = TrayLayout(4, 5, 2, 2, 12, 12, 10, 10)
 LAYOUT_TEXT = (
     "rows = 4\ncols = 5\norigin_x = 2\norigin_y = 2\n"
@@ -342,6 +347,98 @@ class TestMalformedInputFiles:
         assert out.getvalue() == ""
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith(f"error: {flag} ")
+
+
+def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False):
+    """Run ``python -m traysight.cli`` in a new process, the way users start it.
+
+    PYTHONUNBUFFERED is removed from the child's environment unless asked for.
+    A host or CI job that sets it writes every record at once, which hides the
+    failures that only show in the interpreter's buffered flush at exit (such
+    as exit code 120 on a closed stdout). With ``close_stderr`` the child starts
+    with fd 2 closed, as after ``2>&-``.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "traysight.cli", *map(str, argv)]
+    if close_stderr:
+        command = ["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@contextlib.contextmanager
+def stdout_target(kind):
+    """A child's stdout: a pipe that is read, a pipe whose reader is gone, or /dev/full."""
+    if kind == "pipe":
+        yield subprocess.PIPE
+    elif kind == "reader-closed":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield write_end
+        finally:
+            os.close(write_end)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            yield full
+
+
+RECORD = re.compile(
+    r"PRESENCE \S+ [01]+|PLACEMENT \S+ (OK|NG .+)|TP \d+ FN \d+ FP \d+ TN \d+"
+    r"|accuracy \S+ precision \S+ recall \S+"
+)
+
+
+class TestStreamFailures:
+    """A failed write to stdout or stderr exits 2, and diagnostics never reach stdout."""
+
+    @pytest.fixture(scope="class")
+    def argvs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("streams")
+        _, refs_path = calibrate_presence_files(tmp_path)
+        tray = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(save_placement_model(
+            PlacementModel(roi=Rect(0, 0, 6, 6), n=30, mean_value=118.0, std_value=2.0)
+        ))
+        socket_path = tmp_path / "socket.pgm"
+        save_gray_image(GrayImage(np.full((6, 6), 120, dtype=np.uint8)), socket_path)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+        # name: (argv, exit code with a working stdout, record lines)
+        return {
+            "inspect": (["inspect", "--image", tray, "--refs", refs_path, "--tray-id", "T"], 0, 1),
+            "inspect-missing-refs": (
+                ["inspect", "--image", tray, "--refs", tmp_path / "none.txt", "--tray-id", "T"], 2, 0
+            ),
+            "verify": (["verify", "--image", socket_path, "--model", model_path, "--id", "S"], 0, 1),
+            "evaluate": (["evaluate", "--pred", labels, "--truth", labels], 0, 2),
+        }
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stderr", ["pipe", "closed"])
+    @pytest.mark.parametrize("stdout", ["pipe", "reader-closed", "full"])
+    @pytest.mark.parametrize("case", ["inspect", "inspect-missing-refs", "verify", "evaluate"])
+    def test_exit_code_and_streams(self, argvs, case, stdout, stderr, unbuffered):
+        argv, code, records = argvs[case]
+        with stdout_target(stdout) as target:
+            proc = run_cli(argv, stdout=target, close_stderr=stderr == "closed", unbuffered=unbuffered)
+        writes_fail = stdout != "pipe" and records > 0
+        assert proc.returncode == (2 if writes_fail else code)
+        if stdout == "pipe":
+            lines = proc.stdout.decode().splitlines()
+            assert len(lines) == records
+            assert all(RECORD.fullmatch(line) for line in lines)
+        errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error:")]
+        if stderr == "pipe":
+            assert len(errors) == (proc.returncode == 2)
+            assert "Exception ignored" not in proc.stderr.decode()
+        else:
+            assert proc.stderr == b""
 
 
 class TestCalibratePlacement:

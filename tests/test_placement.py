@@ -21,6 +21,7 @@ from traysight.placement import (
 )
 from traysight.stats import mean_intensity
 from traysight.synthgen import generate_socket_series
+from traysight.tray_grid import TrayLayout
 
 
 def constant_image(value, width=8, height=8):
@@ -173,6 +174,21 @@ class TestModelInvariants:
     def test_rejects_non_positive_z(self):
         with pytest.raises(ValueError):
             PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=2.0, z=0.0)
+
+
+    def test_roi_layout_is_not_a_field(self):
+        def model():
+            return PlacementModel(roi=Rect(1, 2, 5, 4), n=30, mean_value=118.0, std_value=2.0)
+
+        built = model()
+        assert built._layout == TrayLayout(1, 1, 1, 2, 5, 4, 5, 4)
+        before = (repr(built), hash(built), save_placement_model(built))
+        verify_placement(constant_image(120), built)
+        assert (repr(built), hash(built), save_placement_model(built)) == before
+        other = model()
+        object.__setattr__(other, "_layout", None)
+        assert other == built
+        assert (repr(other), hash(other), save_placement_model(other)) == before
 
 
 class TestModelStore:
