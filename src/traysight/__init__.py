@@ -5,81 +5,59 @@ Two detectors built on the same scalar: the mean intensity of a region's
 (``tray_grid.slot_sums``). Tray slots are classified occupied/empty by nearest
 calibrated reference; socket placements pass/fail a z-score tolerance
 band around the calibrated mean.
+
+The names below load their module on first use (PEP 562), so a CLI call
+imports only the modules its subcommand runs.
 """
 
-from .evaluation import ConfusionMatrix, Metrics, metrics, tally
-from .imaging import (
-    GrayImage,
-    Rect,
-    crop,
-    histogram,
-    load_gray_image,
-    save_gray_image,
-    to_gray,
-)
-from .placement import (
-    PlacementModel,
-    PlacementVerdict,
-    UndersampledWarning,
-    calibrate_placement,
-    load_placement_model,
-    save_placement_model,
-    verify_placement,
-    verify_value,
-)
-from .presence import (
-    OccupancyResult,
-    PresenceReferenceSet,
-    SlotReference,
-    calibrate_presence,
-    classify_slot,
-    inspect_tray,
-    load_presence_refs,
-    save_presence_refs,
-)
-from .stats import ci_halfwidth, mean_intensity, sample_mean, sample_std
-from .synthgen import SceneSpec, generate_socket_series, generate_tray
-from .tray_grid import TrayLayout, parse_layout, slot_means, slot_rect
+import os
+import sys
+from importlib import import_module
+
+# traysight makes no BLAS call, but OpenBLAS starts a thread per CPU when numpy
+# loads, and those threads spin while numpy imports. If traysight is first to
+# import numpy and the caller has not chosen a thread count, load it with one
+# thread, then restore the caller's environment for child processes and any
+# BLAS library loaded later.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfusionMatrix",
-    "GrayImage",
-    "Metrics",
-    "OccupancyResult",
-    "PlacementModel",
-    "PlacementVerdict",
-    "PresenceReferenceSet",
-    "Rect",
-    "SceneSpec",
-    "SlotReference",
-    "TrayLayout",
-    "UndersampledWarning",
-    "calibrate_placement",
-    "calibrate_presence",
-    "ci_halfwidth",
-    "classify_slot",
-    "crop",
-    "generate_socket_series",
-    "generate_tray",
-    "histogram",
-    "inspect_tray",
-    "load_gray_image",
-    "load_placement_model",
-    "load_presence_refs",
-    "mean_intensity",
-    "metrics",
-    "parse_layout",
-    "sample_mean",
-    "sample_std",
-    "save_gray_image",
-    "save_placement_model",
-    "save_presence_refs",
-    "slot_means",
-    "slot_rect",
-    "tally",
-    "to_gray",
-    "verify_placement",
-    "verify_value",
-]
+_EXPORTS = {
+    "evaluation": ("ConfusionMatrix", "Metrics", "metrics", "tally"),
+    "imaging": (
+        "GrayImage", "Rect", "crop", "histogram", "load_gray_image", "save_gray_image", "to_gray",
+    ),
+    "placement": (
+        "PlacementModel", "PlacementVerdict", "UndersampledWarning", "calibrate_placement",
+        "load_placement_model", "save_placement_model", "verify_placement", "verify_value",
+    ),
+    "presence": (
+        "OccupancyResult", "PresenceReferenceSet", "SlotReference", "calibrate_presence",
+        "classify_slot", "inspect_tray", "load_presence_refs", "save_presence_refs",
+    ),
+    "stats": ("mean_intensity", "sample_mean", "sample_std"),
+    "synthgen": ("SceneSpec", "generate_socket_series", "generate_tray"),
+    "tray_grid": ("TrayLayout", "parse_layout", "slot_means", "slot_rect"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,15 +1,16 @@
 """Command-line frontend.
 
 Exit codes: 0 success/OK verdict, 1 NG verdict, 2 operational error, which
-includes a failed write to stdout or stderr. Standard output carries only
-verdict/metric records; everything else (warnings, tray maps, diagnostics)
-goes to the error stream, or nowhere when that is closed, so stdout stays
-machine-parseable.
+includes a failed write to stdout or stderr; every write to a stdout closed
+at start fails. Standard output carries only verdict/metric records;
+everything else (warnings, tray maps, diagnostics) goes to the error stream,
+or nowhere when that is closed, so stdout stays machine-parseable.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import warnings
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, imaging, placement, presence, synthgen, tray_grid
+# presence and placement supply the parser's defaults; evaluate and synth
+# import the modules only they use.
+from . import imaging, placement, presence, tray_grid
 
 OCCUPIED_COLOR = (0, 200, 0)
 EMPTY_COLOR = (200, 0, 0)
@@ -128,6 +131,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     predicted = evaluation.parse_labels(_read_text(args.pred))
     actual = evaluation.parse_labels(_read_text(args.truth))
     cm = evaluation.tally(*evaluation.join_labels(predicted, actual))
@@ -142,6 +147,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import evaluation, synthgen
+
     spec = synthgen.parse_scene(_read_text(args.scene))
     if args.require_separable and spec.mu_with == spec.mu_without:
         raise ValueError("scene is not separable: mu_with equals mu_without")
@@ -224,10 +231,20 @@ def _flush_or_silence(stream) -> None:
             os.close(devnull)
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Stands in for a stdout closed at start, so that printing a record fails."""
+
+    def write(self, text):
+        raise OSError("stdout is closed")
+
+
 def main(argv=None) -> int:
-    for name in ("stdout", "stderr"):
-        if getattr(sys, name) is None:  # closed at start; print(file=None) would use stdout
-            setattr(sys, name, open(os.devnull, "w"))
+    # CPython sets a stream closed at start to None. print() would then drop every
+    # record silently, and print(file=None) would send diagnostics to stdout.
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

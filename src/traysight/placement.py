@@ -6,9 +6,8 @@ those per-image means. A new observation passes iff its deviation from the
 calibrated mean is at most z*std (inclusive), with a small epsilon floor so
 a zero-variance calibration does not reject everything.
 
-Note the deliberate asymmetry with :func:`traysight.stats.ci_halfwidth`:
-the acceptance band for a single observation is z*std, not z*std/sqrt(n);
-the latter is the confidence interval of the calibration mean and would
+The band for a single observation is z*std, not z*std/sqrt(n). The latter
+is the half-width of the calibration mean's confidence interval, which would
 shrink toward zero as calibration grows.
 """
 

@@ -1,8 +1,7 @@
-"""Numerical core: histogram mean intensity, sample statistics, CI half-width.
+"""Numerical core: histogram mean intensity and sample statistics.
 
 All results are double-precision. ``sample_std`` is Bessel-corrected
-(denominator n-1); ``ci_halfwidth`` is the +/- width of the mean's
-confidence interval, z*s/sqrt(n).
+(denominator n-1).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["mean_intensity", "sample_mean", "sample_std", "ci_halfwidth"]
+__all__ = ["mean_intensity", "sample_mean", "sample_std"]
 
 _INTENSITIES = np.arange(256, dtype=np.int64)
 
@@ -61,14 +60,3 @@ def sample_std(values: Sequence[float]) -> float:
         raise ValueError(f"need at least 2 samples for a standard deviation, got {len(xs)}")
     mean = sample_mean(xs)
     return math.sqrt(sum((x - mean) ** 2 for x in xs) / (len(xs) - 1))
-
-
-def ci_halfwidth(std: float, n: int, z: float) -> float:
-    """Half-width z*std/sqrt(n) of the confidence interval about the mean."""
-    if std < 0 or not math.isfinite(std):
-        raise ValueError(f"std must be finite and non-negative, got {std!r}")
-    if n < 1:
-        raise ValueError(f"sample count must be at least 1, got {n}")
-    if z <= 0 or not math.isfinite(z):
-        raise ValueError(f"z must be finite and positive, got {z!r}")
-    return z * std / math.sqrt(n)

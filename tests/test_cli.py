@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -349,22 +350,24 @@ class TestMalformedInputFiles:
         assert err.getvalue().startswith(f"error: {flag} ")
 
 
-def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False):
+def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False, close_stdout=False):
     """Run ``python -m traysight.cli`` in a new process, the way users start it.
 
     PYTHONUNBUFFERED is removed from the child's environment unless asked for.
     A host or CI job that sets it writes every record at once, which hides the
     failures that only show in the interpreter's buffered flush at exit (such
     as exit code 120 on a closed stdout). With ``close_stderr`` the child starts
-    with fd 2 closed, as after ``2>&-``.
+    with fd 2 closed, as after ``2>&-``, and with ``close_stdout`` with fd 1
+    closed, as after ``>&-``.
     """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     command = [sys.executable, "-m", "traysight.cli", *map(str, argv)]
-    if close_stderr:
-        command = ["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    closes = " >&-" * close_stdout + " 2>&-" * close_stderr
+    if closes:
+        command = ["/bin/sh", "-c", f'exec "$@"{closes}', "sh", *command]
     return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
 
 
@@ -439,6 +442,79 @@ class TestStreamFailures:
             assert "Exception ignored" not in proc.stderr.decode()
         else:
             assert proc.stderr == b""
+
+
+@pytest.fixture(scope="module")
+def subcommand_argvs(tmp_path_factory):
+    """Per subcommand: a working argv and the file it writes (None for none)."""
+    tmp_path = tmp_path_factory.mktemp("subcommands")
+    layout_path, refs_path = calibrate_presence_files(tmp_path)
+    tray = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    roi = Rect(1, 1, 8, 8)
+    for i, img in enumerate(generate_socket_series(roi, mu=118.0, sigma=2.0, count=30, seed=21)):
+        save_gray_image(img, samples / f"s{i:04d}.pgm")
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(save_placement_model(
+        PlacementModel(roi=roi, n=30, mean_value=118.0, std_value=2.0)
+    ))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(format_scene(SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)))
+    (tmp_path / "out").mkdir()
+    out = {name: tmp_path / "out" / name for name in ("refs.txt", "model.txt", "synth")}
+    return {
+        "calibrate-presence": ([
+            "calibrate-presence", "--with", tmp_path / "with.pgm", "--without", tmp_path / "without.pgm",
+            "--layout", layout_path, "--out", out["refs.txt"],
+        ], out["refs.txt"]),
+        "inspect": (["inspect", "--image", tray, "--refs", refs_path, "--tray-id", "T"], None),
+        "calibrate-placement": ([
+            "calibrate-placement", "--samples", samples, "--roi", "1,1,8,8", "--out", out["model.txt"],
+        ], out["model.txt"]),
+        "verify": (["verify", "--image", samples / "s0000.pgm", "--model", model_path, "--id", "S"], None),
+        "evaluate": (["evaluate", "--pred", labels, "--truth", labels], None),
+        "synth": (["synth", "--scene", scene, "--out-dir", out["synth"]], out["synth"] / "truth.txt"),
+    }
+
+
+class TestClosedStdout:
+    """Started with stdout closed (``>&-``), a command that prints records exits 2
+    with one error line; a command that prints none still does its work."""
+
+    @pytest.mark.parametrize("command, code", [
+        ("calibrate-presence", 0), ("inspect", 2), ("calibrate-placement", 0),
+        ("verify", 2), ("evaluate", 2), ("synth", 0),
+    ])
+    def test_exit_code_and_error_line(self, subcommand_argvs, command, code):
+        argv, written = subcommand_argvs[command]
+        proc = run_cli(argv, close_stdout=True)
+        assert proc.returncode == code
+        errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error:")]
+        assert errors == (["error: stdout is closed"] if code == 2 else [])
+        assert "Traceback" not in proc.stderr.decode()
+        if written is not None:
+            assert written.exists()
+
+
+def test_record_commands_import_neither_synthgen_nor_evaluation(subcommand_argvs):
+    """``inspect`` and ``verify`` as the console script runs them load no module they do not use."""
+    argvs = [[str(a) for a in subcommand_argvs[command][0]] for command in ("inspect", "verify")]
+    script = (
+        "import json, sys\n"
+        "from traysight.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('traysight'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "traysight.presence" in loaded and "traysight.placement" in loaded
+    assert "traysight.synthgen" not in loaded
+    assert "traysight.evaluation" not in loaded
 
 
 class TestCalibratePlacement:

@@ -1,0 +1,91 @@
+"""The package import: its BLAS thread cap and its lazily loaded names."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import traysight
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+LINUX_TASKS = Path("/proc/self/task")
+
+
+def run_python(script, **extra_env):
+    """Run ``script`` in a fresh interpreter with no BLAS thread variable set
+    except ``extra_env``, and return the JSON value its last line prints."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(extra_env, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+needs_proc = pytest.mark.skipif(not LINUX_TASKS.is_dir(), reason="no /proc/self/task")
+TASKS = "len(os.listdir('/proc/self/task'))"
+
+
+class TestBlasThreadCap:
+    def test_environment_unchanged_for_the_process_and_its_children(self):
+        result = run_python(
+            "import json, os, subprocess, sys\n"
+            "before = dict(os.environ)\n"
+            "import traysight\n"
+            "child = subprocess.run([sys.executable, '-c', 'import json, os; print(json.dumps(dict(os.environ)))'],\n"
+            "                       capture_output=True, text=True).stdout\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('traysight'))\n"
+            "print(json.dumps([before == dict(os.environ), json.loads(child) == before, loaded]))\n"
+        )
+        # The child inherits the C-level environment, so a leaked putenv shows there too.
+        assert result == [True, True, ["traysight"]]
+
+    @needs_proc
+    def test_numpy_loads_with_one_thread(self):
+        assert run_python(f"import json, os\nimport traysight\nprint(json.dumps({TASKS}))") == 1
+
+    @needs_proc
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
+    def test_callers_thread_count_is_kept(self):
+        result = run_python(
+            f"import json, os\nimport traysight.imaging\n"
+            f"print(json.dumps([{TASKS}, os.environ['OPENBLAS_NUM_THREADS']]))",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert result == [2, "2"]
+
+    @needs_proc
+    def test_numpy_imported_first_is_left_alone(self):
+        before, after, leaked = run_python(
+            f"import json, os\nimport numpy\nbefore = {TASKS}\nimport traysight.cli\n"
+            f"print(json.dumps([before, {TASKS}, 'OPENBLAS_NUM_THREADS' in os.environ]))"
+        )
+        assert after == before
+        assert not leaked
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("name", traysight.__all__)
+    def test_each_name_is_its_modules_object(self, name):
+        value = getattr(traysight, name)
+        assert value.__module__.startswith("traysight.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from traysight import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(traysight.__all__)
+        assert all(namespace[name] is getattr(traysight, name) for name in traysight.__all__)
+
+    def test_dir_lists_every_name(self):
+        assert set(traysight.__all__) <= set(dir(traysight))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'ci_halfwidth'"):
+            traysight.ci_halfwidth
+        assert not hasattr(traysight, "no_such_name")

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from traysight.imaging import GrayImage, histogram
-from traysight.stats import ci_halfwidth, mean_intensity, sample_mean, sample_std
+from traysight.stats import mean_intensity, sample_mean, sample_std
 
 bounded_floats = st.floats(min_value=0.0, max_value=200.0, allow_nan=False, width=64)
 
@@ -127,32 +127,3 @@ class TestSampleStd:
         assert sample_std([k * x for x in xs]) == pytest.approx(
             k * sample_std(xs), rel=1e-9, abs=1e-7
         )
-
-
-class TestCiHalfwidth:
-    def test_sqrt_n_cancellation(self):
-        assert ci_halfwidth(2.0, 4, 1.96) == pytest.approx(1.96, abs=1e-12)
-
-    def test_zero_std(self):
-        assert ci_halfwidth(0.0, 7, 2.5) == 0.0
-
-    def test_direct_formula(self):
-        assert ci_halfwidth(2.315, 30, 1.96) == pytest.approx(
-            1.96 * 2.315 / math.sqrt(30), abs=1e-12
-        )
-
-    def test_monotone_decreasing_in_n(self):
-        widths = [ci_halfwidth(2.0, n, 1.96) for n in (1, 2, 10, 100, 10_000)]
-        assert widths == sorted(widths, reverse=True)
-
-    def test_linear_in_std_and_z(self):
-        assert ci_halfwidth(4.0, 9, 1.0) == pytest.approx(2 * ci_halfwidth(2.0, 9, 1.0))
-        assert ci_halfwidth(2.0, 9, 3.0) == pytest.approx(3 * ci_halfwidth(2.0, 9, 1.0))
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            ci_halfwidth(-1.0, 4, 1.96)
-        with pytest.raises(ValueError):
-            ci_halfwidth(1.0, 0, 1.96)
-        with pytest.raises(ValueError):
-            ci_halfwidth(1.0, 4, 0.0)
