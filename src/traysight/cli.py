@@ -5,11 +5,17 @@ includes a failed write to stdout or stderr; every write to a stdout closed
 at start fails. Standard output carries only verdict/metric records;
 everything else (warnings, tray maps, diagnostics) goes to the error stream,
 or nowhere when that is closed, so stdout stays machine-parseable.
+
+Run as a process (``main()`` with no argument), the CLI freezes the objects it
+created at import with ``gc.freeze()``, so the interpreter's exit skips
+sweeping them; ``main(argv)`` called in process leaves the caller's garbage
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -239,6 +245,9 @@ class _ClosedStdout(io.TextIOBase):
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # This process ends when main returns, so its exit need not sweep the import-time objects.
+        gc.freeze()
     # CPython sets a stream closed at start to None. print() would then drop every
     # record silently, and print(file=None) would send diagnostics to stdout.
     if sys.stdout is None:

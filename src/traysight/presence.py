@@ -100,6 +100,15 @@ def calibrate_presence(
     return PresenceReferenceSet(layout, tuple(SlotReference(w, o) for w, o in pairs))
 
 
+def _nearest_reference(value, with_, without):
+    """The nearest-reference rule, elementwise: the occupied bits (strict ``<``,
+    so a tie is empty) and each reading's distance to the nearer reference."""
+    to_with = abs(value - with_)
+    to_without = abs(value - without)
+    # dtype=float also takes the Python ints beyond int64 that classify_slot accepts.
+    return to_with < to_without, np.minimum(to_with, to_without, dtype=float)
+
+
 def classify_slot(value_unknown: float, value_with: float, value_without: float) -> bool:
     """Nearest-reference rule: occupied iff strictly closer to the with reference.
 
@@ -113,7 +122,7 @@ def classify_slot(value_unknown: float, value_with: float, value_without: float)
     ):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return abs(value_unknown - value_with) < abs(value_unknown - value_without)
+    return bool(_nearest_reference(value_unknown, value_with, value_without)[0])
 
 
 def inspect_tray(
@@ -135,15 +144,12 @@ def inspect_tray(
             "reference set was calibrated against a different layout: "
             f"{refs.layout.fields()} vs {layout.fields()}"
         )
-    # Sums are integers below 2**53, so each quotient is the correctly rounded one
-    # of slot_means; the ufuncs below are classify_slot's IEEE operations per slot.
+    # Sums are integers below 2**53, so each quotient is the correctly rounded one of slot_means.
     value = slot_sums(image, layout) / (layout.slot_w * layout.slot_h)
     with_, without, separation = refs._columns
-    to_with = np.abs(value - with_)
-    to_without = np.abs(value - without)
-    bits = (to_with < to_without).view(np.uint8)  # a tie is empty
-    flags = np.minimum(to_with, to_without) > outlier_k * separation
-    return OccupancyResult(tuple(bits.tolist()), tuple(flags.tolist()))
+    occupied, nearer = _nearest_reference(value, with_, without)
+    flags = nearer > outlier_k * separation
+    return OccupancyResult(tuple(occupied.view(np.uint8).tolist()), tuple(flags.tolist()))
 
 
 def save_presence_refs(refs: PresenceReferenceSet) -> str:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: verdict lines, exit codes, stdout purity."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -500,21 +501,36 @@ class TestClosedStdout:
 
 
 def test_record_commands_import_neither_synthgen_nor_evaluation(subcommand_argvs):
-    """``inspect`` and ``verify`` as the console script runs them load no module they do not use."""
+    """``inspect`` and ``verify`` as the console script runs them load no module they do not use,
+    and freeze the objects made at import."""
     argvs = [[str(a) for a in subcommand_argvs[command][0]] for command in ("inspect", "verify")]
     script = (
-        "import json, sys\n"
+        "import gc, json, sys\n"
         "from traysight.cli import main\n"
-        f"codes = [main(argv) for argv in {argvs!r}]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('traysight'))]))\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    sys.argv = ['traysight', *argv]\n"
+        "    codes.append(main())\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('traysight'))\n"
+        "print(json.dumps([codes, loaded, gc.get_freeze_count()]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    codes, loaded, frozen = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0]
+    assert frozen > 0
     assert "traysight.presence" in loaded and "traysight.placement" in loaded
     assert "traysight.synthgen" not in loaded
     assert "traysight.evaluation" not in loaded
+
+
+@pytest.mark.parametrize("tray_id, code", [("T", 0), ("A B", 2)])
+def test_main_with_argv_leaves_the_callers_gc_alone(subcommand_argvs, tray_id, code):
+    """A freeze is process-wide, so an in-process call must not make the caller's objects uncollectable."""
+    argv = [str(a) for a in subcommand_argvs["inspect"][0][:-1]] + [tray_id]
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert main(argv) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestCalibratePlacement:

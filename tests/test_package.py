@@ -1,4 +1,4 @@
-"""The package import: its BLAS thread cap and its lazily loaded names."""
+"""The package import: its BLAS thread cap, its lazily loaded names and its untouched GC."""
 
 import importlib
 import json
@@ -67,6 +67,13 @@ class TestBlasThreadCap:
         )
         assert after == before
         assert not leaked
+
+
+def test_importing_the_package_and_the_cli_freezes_nothing():
+    assert run_python(
+        "import gc, json\nimport traysight\nfrozen = [gc.get_freeze_count()]\n"
+        "import traysight.cli\nprint(json.dumps(frozen + [gc.get_freeze_count()]))"
+    ) == [0, 0]
 
 
 class TestLazyNames:

@@ -89,6 +89,9 @@ class TestClassifySlot:
     def test_tie_breaks_to_empty(self):
         assert classify_slot(80, 120, 40) is False
 
+    def test_python_ints_beyond_int64(self):
+        assert classify_slot(10**30 + 1, 10**30 + 2, 0) is True
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             classify_slot(float("inf"), 120, 40)
