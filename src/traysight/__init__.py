@@ -43,7 +43,7 @@ _EXPORTS = {
         "classify_slot", "inspect_tray", "load_presence_refs", "save_presence_refs",
     ),
     "stats": ("mean_intensity", "sample_mean", "sample_std"),
-    "synthgen": ("SceneSpec", "generate_socket_series", "generate_tray"),
+    "synthgen": ("SceneSpec", "generate_tray"),
     "tray_grid": ("TrayLayout", "parse_layout", "slot_means", "slot_rect"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

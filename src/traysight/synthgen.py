@@ -1,9 +1,10 @@
-"""Seeded synthetic tray and socket images with ground truth.
+"""Seeded synthetic tray images with ground truth.
 
 Stands in for the physical rig: slot interiors draw from a Gaussian around
 the with-module or empty class mean, the rest of the frame around a
 background mean, everything rounded and clamped to [0, 255]. The same spec
-(including seed) always yields the same bytes.
+(including seed) always yields the same bytes. A socket frame is drawn as a
+1x1 tray whose one slot is the socket ROI.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import format_decimal
-from .imaging import GrayImage, Rect
+from .imaging import GrayImage
 from .tray_grid import LAYOUT_KEYS, TrayLayout, parse_key_values, slot_grid
 
 __all__ = [
     "SceneSpec",
     "generate_tray",
-    "generate_socket_series",
     "parse_scene",
     "format_scene",
 ]
@@ -49,23 +49,14 @@ class SceneSpec:
                 f"occupancy has {len(self.occupancy)} entries, "
                 f"layout expects {self.layout.slot_count}"
             )
-        _check_noise(self.sigma, self.seed, mu_with=self.mu_with, mu_without=self.mu_without,
-                     background=self.background)
-
-
-def _check_noise(sigma: float, seed: int, **means: float) -> None:
-    """Every mean in [0, 255], sigma finite and non-negative, seed a 64-bit unsigned integer."""
-    for name, value in means.items():
-        if not math.isfinite(value) or not 0 <= value <= 255:
-            raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
-    if not math.isfinite(sigma) or sigma < 0:
-        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
+        for name in ("mu_with", "mu_without", "background"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or not 0 <= value <= 255:
+                raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def generate_tray(spec: SceneSpec) -> tuple[GrayImage, tuple[bool, ...]]:
@@ -79,31 +70,7 @@ def generate_tray(spec: SceneSpec) -> tuple[GrayImage, tuple[bool, ...]]:
     mu = np.where(spec.occupancy, spec.mu_with, spec.mu_without).reshape(slots.shape[:2] + (1, 1))
     # A C-order draw takes the slots in index order, so a per-slot loop draws the same bytes.
     slots[...] = rng.normal(mu, spec.sigma, size=slots.shape)
-    return GrayImage(_quantize(canvas)), spec.occupancy
-
-
-def generate_socket_series(
-    roi: Rect, mu: float, sigma: float, count: int, seed: int
-) -> list[GrayImage]:
-    """``count`` socket images whose ROI pixels draw from Normal(mu, sigma).
-
-    Pixels outside the ROI are zero, which keeps ROI-only dependence visible
-    in tests. Deterministic per seed.
-    """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    _check_noise(sigma, seed, mu=mu)
-    width = roi.x + roi.w
-    height = roi.y + roi.h
-    rng = np.random.default_rng(seed)
-    images = []
-    for _ in range(count):
-        canvas = np.zeros((height, width))
-        canvas[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w] = rng.normal(
-            mu, sigma, size=(roi.h, roi.w)
-        )
-        images.append(GrayImage(_quantize(canvas)))
-    return images
+    return GrayImage(np.clip(np.rint(canvas), 0, 255).astype(np.uint8)), spec.occupancy
 
 
 def format_scene(spec: SceneSpec) -> str:

@@ -19,7 +19,7 @@ from traysight import synthgen
 from traysight.cli import main
 from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
 from traysight.placement import PlacementModel, save_placement_model
-from traysight.synthgen import SceneSpec, format_scene, generate_socket_series, generate_tray
+from traysight.synthgen import SceneSpec, format_scene, generate_tray
 from traysight.tray_grid import TrayLayout
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -42,6 +42,17 @@ def write_tray(tmp_path, name, occupancy, seed, sigma=2.0):
     path = tmp_path / name
     save_gray_image(image, path)
     return path
+
+
+def write_socket_samples(sample_dir, roi, count):
+    """``count`` socket frames in a new ``sample_dir``, drawn as the bench draws them:
+    a 1x1 tray whose one occupied slot is ``roi``."""
+    layout = TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h)
+    sample_dir.mkdir()
+    for i in range(count):
+        image, _ = generate_tray(SceneSpec(layout, (True,), 118.0, 118.0, 2.0, 60.0, seed=21 + i))
+        save_gray_image(image, sample_dir / f"s{i:04d}.pgm")
+    return sample_dir
 
 
 def calibrate_presence_files(tmp_path):
@@ -451,11 +462,8 @@ def subcommand_argvs(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("subcommands")
     layout_path, refs_path = calibrate_presence_files(tmp_path)
     tray = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
-    samples = tmp_path / "samples"
-    samples.mkdir()
     roi = Rect(1, 1, 8, 8)
-    for i, img in enumerate(generate_socket_series(roi, mu=118.0, sigma=2.0, count=30, seed=21)):
-        save_gray_image(img, samples / f"s{i:04d}.pgm")
+    samples = write_socket_samples(tmp_path / "samples", roi, 30)
     model_path = tmp_path / "model.txt"
     model_path.write_text(save_placement_model(
         PlacementModel(roi=roi, n=30, mean_value=118.0, std_value=2.0)
@@ -536,14 +544,8 @@ def test_main_with_argv_leaves_the_callers_gc_alone(subcommand_argvs, tray_id, c
 class TestCalibratePlacement:
     ROI = Rect(1, 1, 8, 8)
 
-    def write_samples(self, tmp_path, count, sigma=2.0):
-        sample_dir = tmp_path / "samples"
-        sample_dir.mkdir()
-        for i, img in enumerate(
-            generate_socket_series(self.ROI, mu=118.0, sigma=sigma, count=count, seed=21)
-        ):
-            save_gray_image(img, sample_dir / f"s{i:04d}.pgm")
-        return sample_dir
+    def write_samples(self, tmp_path, count):
+        return write_socket_samples(tmp_path / "samples", self.ROI, count)
 
     def test_full_calibration(self, tmp_path, capsys):
         sample_dir = self.write_samples(tmp_path, 30)

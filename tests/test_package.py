@@ -93,6 +93,7 @@ class TestLazyNames:
         assert set(traysight.__all__) <= set(dir(traysight))
 
     def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no attribute 'ci_halfwidth'"):
-            traysight.ci_halfwidth
+        for removed in ("ci_halfwidth", "generate_socket_series"):
+            with pytest.raises(AttributeError, match=f"no attribute '{removed}'"):
+                getattr(traysight, removed)
         assert not hasattr(traysight, "no_such_name")

@@ -20,7 +20,7 @@ from traysight.placement import (
     verify_value,
 )
 from traysight.stats import mean_intensity
-from traysight.synthgen import generate_socket_series
+from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout
 
 
@@ -57,7 +57,11 @@ class TestCalibrate:
 
     def test_matches_two_pass_oracle_on_noisy_samples(self):
         roi = Rect(1, 2, 10, 9)
-        samples = generate_socket_series(roi, mu=118.0, sigma=2.0, count=30, seed=55)
+        layout = TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h)
+        samples = [
+            generate_tray(SceneSpec(layout, (True,), 118.0, 118.0, 2.0, 60.0, seed))[0]
+            for seed in range(55, 85)
+        ]
         model = calibrate_placement(samples, roi)
         values = [
             float(img.pixels[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w].mean())

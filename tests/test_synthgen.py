@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from traysight.imaging import Rect, crop, encode_p5, histogram
+from traysight.imaging import crop, encode_p5, histogram
 from traysight.presence import calibrate_presence, inspect_tray
 from traysight.stats import mean_intensity
-from traysight.synthgen import (
-    SceneSpec,
-    format_scene,
-    generate_socket_series,
-    generate_tray,
-    parse_scene,
-)
+from traysight.synthgen import SceneSpec, format_scene, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout, slot_rect
 
 
@@ -113,41 +107,6 @@ class TestSceneSpecValidation:
             spec_1x2(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             spec_1x2(seed=2**64)
-
-
-class TestGenerateSocketSeries:
-    ROI = Rect(2, 3, 6, 5)
-
-    def test_noiseless_series_is_constant(self):
-        images = generate_socket_series(self.ROI, mu=118.0, sigma=0.0, count=30, seed=5)
-        assert len(images) == 30
-        payloads = {encode_p5(img) for img in images}
-        assert len(payloads) == 1
-        roi_mean = mean_intensity(histogram(crop(images[0], self.ROI)))
-        assert roi_mean == 118.0
-
-    def test_outside_roi_is_zero(self):
-        img = generate_socket_series(self.ROI, mu=118.0, sigma=2.0, count=1, seed=5)[0]
-        assert img.pixels[0, 0] == 0
-        assert img.width == self.ROI.x + self.ROI.w
-        assert img.height == self.ROI.y + self.ROI.h
-
-    def test_empirical_mean_near_mu(self):
-        images = generate_socket_series(self.ROI, mu=118.0, sigma=2.0, count=10_000, seed=6)
-        r = self.ROI
-        means = [
-            float(img.pixels[r.y : r.y + r.h, r.x : r.x + r.w].mean()) for img in images
-        ]
-        assert abs(np.mean(means) - 118.0) < 0.1
-
-    def test_deterministic_per_seed(self):
-        first = generate_socket_series(self.ROI, 118.0, 2.0, 5, seed=7)
-        second = generate_socket_series(self.ROI, 118.0, 2.0, 5, seed=7)
-        assert [encode_p5(a) for a in first] == [encode_p5(b) for b in second]
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError, match="count"):
-            generate_socket_series(self.ROI, 118.0, 2.0, 0, seed=7)
 
 
 class TestSceneManifest:
