@@ -168,8 +168,11 @@ for name, layout in [
 ]:
     presence(name, layout, bits_for(name, layout), mu=(263, 0), amp=8)
 
-presence("p6-4x5", (4, 5, 5, 1, 54, 45, 44, 36), bits_for("p6-4x5", (4, 5)), color=True)
-presence("slot-1x1", (3, 4, 0, 0, 1, 1, 1, 1), bits_for("slot-1x1", (3, 4)), amp=30)
+for name, layout, image in [
+    ("p6-4x5", (4, 5, 5, 1, 54, 45, 44, 36), {"color": True}),
+    ("slot-1x1", (3, 4, 0, 0, 1, 1, 1, 1), {"amp": 30}),
+]:
+    presence(name, layout, bits_for(name, layout), **image)
 presence("roi-1x1", (1, 1, 2, 3, 1, 1, 1, 1), [1], amp=0, overhang=(2, 1))
 
 # Ties: a reading exactly midway between its references is empty (strict <).
