@@ -15,6 +15,7 @@ collector alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import os
@@ -225,6 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    # argparse ignores a failed write of its help or usage text and exits as if it had
+    # succeeded. Collect that text and write it here, where a failed write is exit 2.
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return build_parser().parse_args(argv)
+    except SystemExit:
+        for text, stream in ((out.getvalue(), sys.stdout), (err.getvalue(), sys.stderr)):
+            if text:
+                stream.write(text)
+                stream.flush()
+        raise
+
+
 def _flush_or_silence(stream) -> None:
     # After a failed write, point a process stream's fd at devnull, so the
     # interpreter's exit flush cannot fail again (exit 120). Others are left alone.
@@ -254,8 +270,8 @@ def main(argv=None) -> int:
         sys.stdout = _ClosedStdout()
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w")
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a failed record write is an operational error too
         return code

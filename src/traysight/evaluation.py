@@ -109,10 +109,9 @@ def parse_labels(text: str) -> dict[str, bool]:
     return labels
 
 
-def format_labels(labels: Mapping[str, bool] | Iterable[tuple[str, bool]]) -> str:
-    """Inverse of parse_labels (modulo blank lines)."""
-    items = labels.items() if isinstance(labels, Mapping) else labels
-    return "".join(f"{ident} {int(bool(bit))}\n" for ident, bit in items)
+def format_labels(labels: Iterable[tuple[str, bool]]) -> str:
+    """Inverse of parse_labels (modulo blank lines), from ``(id, bit)`` pairs."""
+    return "".join(f"{ident} {int(bool(bit))}\n" for ident, bit in labels)
 
 
 def join_labels(

@@ -1,6 +1,11 @@
-"""End-to-end CLI behavior: verdict lines, exit codes, stdout purity."""
+"""End-to-end CLI behavior: verdict lines, exit codes, stdout purity.
+
+New tests take their input files from the ``inputs`` fixture and call the CLI
+in process through ``run``; ``run_cli`` starts it in a new process.
+"""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -8,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -28,26 +34,32 @@ LAYOUT_TEXT = (
     "rows = 4\ncols = 5\norigin_x = 2\norigin_y = 2\n"
     "pitch_x = 12\npitch_y = 12\nslot_w = 10\nslot_h = 10\n"
 )
+SCENE = SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)
+ROI = Rect(1, 1, 8, 8)  # the socket samples' ROI
 
 
-def write_layout(tmp_path):
-    path = tmp_path / "layout.cfg"
-    path.write_text(LAYOUT_TEXT)
+def run(*argv):
+    """Call ``main`` in process; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def flags(options):
+    """``{"--flag": value}`` as argv words."""
+    return [str(word) for option in options.items() for word in option]
+
+
+def write_tray(path, occupancy, seed):
+    save_gray_image(generate_tray(dataclasses.replace(SCENE, occupancy=occupancy, seed=seed))[0], path)
     return path
 
 
-def write_tray(tmp_path, name, occupancy, seed, sigma=2.0):
-    spec = SceneSpec(LAYOUT, occupancy, 130.0, 50.0, sigma, 85.0, seed)
-    image, _ = generate_tray(spec)
-    path = tmp_path / name
-    save_gray_image(image, path)
-    return path
-
-
-def write_socket_samples(sample_dir, roi, count):
+def write_samples(sample_dir, count):
     """``count`` socket frames in a new ``sample_dir``, drawn as the bench draws them:
-    a 1x1 tray whose one occupied slot is ``roi``."""
-    layout = TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h)
+    a 1x1 tray whose one occupied slot is ``ROI``."""
+    layout = TrayLayout(1, 1, ROI.x, ROI.y, ROI.w, ROI.h, ROI.w, ROI.h)
     sample_dir.mkdir()
     for i in range(count):
         image, _ = generate_tray(SceneSpec(layout, (True,), 118.0, 118.0, 2.0, 60.0, seed=21 + i))
@@ -55,143 +67,128 @@ def write_socket_samples(sample_dir, roi, count):
     return sample_dir
 
 
-def calibrate_presence_files(tmp_path):
-    layout_path = write_layout(tmp_path)
-    with_path = write_tray(tmp_path, "with.pgm", (True,) * 20, seed=10)
-    without_path = write_tray(tmp_path, "without.pgm", (False,) * 20, seed=11)
-    refs_path = tmp_path / "refs.txt"
-    code = main([
-        "calibrate-presence",
-        "--with", str(with_path),
-        "--without", str(without_path),
-        "--layout", str(layout_path),
-        "--out", str(refs_path),
-    ])
+def write_model(path, roi):
+    path.write_text(save_placement_model(PlacementModel(roi=roi, n=30, mean_value=118.0, std_value=2.0)))
+    return path
+
+
+def write_socket(path, value):
+    save_gray_image(GrayImage(np.full((6, 6), value, dtype=np.uint8)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Every file the subcommands read, written once; ``out`` takes writes that no test reads."""
+    root = tmp_path_factory.mktemp("inputs")
+    files = types.SimpleNamespace(
+        layout=root / "layout.cfg",
+        loaded=write_tray(root / "with.pgm", (True,) * 20, seed=10),
+        empty=write_tray(root / "without.pgm", (False,) * 20, seed=11),
+        refs=root / "refs.txt",
+        tray=write_tray(root / "tray.pgm", (True, False) * 10, seed=12),
+        samples=write_samples(root / "samples", 30),
+        model=write_model(root / "model.txt", ROI),
+        socket=write_socket(root / "socket.pgm", 120),
+        socket_model=write_model(root / "socket_model.txt", Rect(0, 0, 6, 6)),
+        labels=root / "labels.txt",
+        scene=root / "scene.cfg",
+        out=root / "out",
+    )
+    files.layout.write_text(LAYOUT_TEXT)
+    files.labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
+    files.scene.write_text(format_scene(SCENE))
+    files.out.mkdir()
+    code, _, _ = run("calibrate-presence", "--with", files.loaded, "--without", files.empty,
+                     "--layout", files.layout, "--out", files.refs)
     assert code == 0
-    return layout_path, refs_path
+    return files
+
+
+@pytest.fixture(scope="module")
+def working_options(inputs):
+    """Per subcommand, the options of a working call; it writes into ``inputs.out``."""
+    return {
+        "calibrate-presence": {
+            "--with": inputs.loaded, "--without": inputs.empty,
+            "--layout": inputs.layout, "--out": inputs.out / "refs.txt",
+        },
+        "inspect": {"--image": inputs.tray, "--refs": inputs.refs, "--tray-id": "T"},
+        "calibrate-placement": {
+            "--samples": inputs.samples, "--roi": "1,1,8,8", "--out": inputs.out / "model.txt",
+        },
+        "verify": {"--image": inputs.samples / "s0000.pgm", "--model": inputs.model, "--id": "S"},
+        "evaluate": {"--pred": inputs.labels, "--truth": inputs.labels},
+        "synth": {"--scene": inputs.scene, "--out-dir": inputs.out / "synth"},
+    }
 
 
 class TestCalibratePresence:
-    def test_writes_reference_store(self, tmp_path, capsys):
-        _, refs_path = calibrate_presence_files(tmp_path)
-        out = capsys.readouterr()
-        assert out.out == ""
+    def test_writes_reference_store(self, inputs, tmp_path):
+        refs_path = tmp_path / "refs.txt"
+        code, out, _ = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.empty,
+                           "--layout", inputs.layout, "--out", refs_path)
+        assert code == 0
+        assert out == ""
         assert refs_path.read_text().startswith("TRAYSIGHT-PRESENCE 1\n")
 
-    def test_identical_images_exit_2(self, tmp_path, capsys):
-        layout_path = write_layout(tmp_path)
-        img_path = write_tray(tmp_path, "same.pgm", (True,) * 20, seed=10)
-        code = main([
-            "calibrate-presence",
-            "--with", str(img_path),
-            "--without", str(img_path),
-            "--layout", str(layout_path),
-            "--out", str(tmp_path / "refs.txt"),
-        ])
+    def test_identical_images_exit_2(self, inputs, tmp_path):
+        code, _, err = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.loaded,
+                           "--layout", inputs.layout, "--out", tmp_path / "refs.txt")
         assert code == 2
-        err = capsys.readouterr().err
         assert "degenerate calibration" in err
 
-    def test_bad_layout_exit_2(self, tmp_path, capsys):
+    def test_bad_layout_exit_2(self, inputs, tmp_path):
         layout_path = tmp_path / "layout.cfg"
         layout_path.write_text(LAYOUT_TEXT.replace("rows = 4\n", ""))
-        img_path = write_tray(tmp_path, "with.pgm", (True,) * 20, seed=10)
-        code = main([
-            "calibrate-presence",
-            "--with", str(img_path),
-            "--without", str(img_path),
-            "--layout", str(layout_path),
-            "--out", str(tmp_path / "refs.txt"),
-        ])
+        code, _, err = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.loaded,
+                           "--layout", layout_path, "--out", tmp_path / "refs.txt")
         assert code == 2
-        assert "rows" in capsys.readouterr().err
+        assert "rows" in err
 
 
 class TestInspect:
-    def test_planted_occupancy_verdict_line(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
+    def test_planted_occupancy_verdict_line(self, inputs, tmp_path):
         occupancy = tuple(c == "1" for c in "11101111011111111111")
-        tray_path = write_tray(tmp_path, "tray.pgm", occupancy, seed=12)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(layout_path),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-        ])
-        out = capsys.readouterr()
+        tray_path = write_tray(tmp_path / "tray.pgm", occupancy, seed=12)
+        code, out, err = run("inspect", "--image", tray_path, "--layout", inputs.layout,
+                             "--refs", inputs.refs, "--tray-id", "T1")
         assert code == 0
-        assert out.out == "PRESENCE T1 11101111011111111111\n"
+        assert out == "PRESENCE T1 11101111011111111111\n"
         # ASCII map on the diagnostics stream, one row per tray row
-        map_lines = [line for line in out.err.splitlines() if set(line) <= {"#", "."}]
+        map_lines = [line for line in err.splitlines() if set(line) <= {"#", "."}]
         assert map_lines == ["###.#", "###.#", "#####", "#####"]
 
-    def test_all_occupied(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
-        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=13)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(layout_path),
-            "--refs", str(refs_path),
-            "--tray-id", "T9",
-        ])
+    def test_all_occupied(self, inputs, tmp_path):
+        tray_path = write_tray(tmp_path / "tray.pgm", (True,) * 20, seed=13)
+        code, out, _ = run("inspect", "--image", tray_path, "--layout", inputs.layout,
+                           "--refs", inputs.refs, "--tray-id", "T9")
         assert code == 0
-        assert capsys.readouterr().out == "PRESENCE T9 " + "1" * 20 + "\n"
+        assert out == "PRESENCE T9 " + "1" * 20 + "\n"
 
-    def test_refs_layout_mismatch_exit_2(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
+    def test_refs_layout_mismatch_exit_2(self, inputs, tmp_path):
         other_layout = tmp_path / "other.cfg"
         other_layout.write_text(LAYOUT_TEXT.replace("rows = 4", "rows = 3"))
-        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=14)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(other_layout),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-        ])
-        out = capsys.readouterr()
+        code, out, _ = run("inspect", "--image", inputs.tray, "--layout", other_layout,
+                           "--refs", inputs.refs, "--tray-id", "T1")
         assert code == 2
-        assert out.out == ""  # stdout stays machine-clean on errors
+        assert out == ""  # stdout stays machine-clean on errors
 
-    def test_outlier_warning_on_stderr(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
+    def test_outlier_warning_on_stderr(self, inputs, tmp_path):
         bright = GrayImage(np.full((LAYOUT.origin_y + 4 * 12, LAYOUT.origin_x + 5 * 12), 255,
                                    dtype=np.uint8))
         tray_path = tmp_path / "bright.pgm"
         save_gray_image(bright, tray_path)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(layout_path),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-            "--outlier-k", "1.0",
-        ])
-        out = capsys.readouterr()
+        code, out, err = run("inspect", "--image", tray_path, "--layout", inputs.layout,
+                             "--refs", inputs.refs, "--tray-id", "T1", "--outlier-k", "1.0")
         assert code == 0
-        assert "WARN slot 0 outlier" in out.err
-        assert out.out.startswith("PRESENCE T1 ")
+        assert "WARN slot 0 outlier" in err
+        assert out.startswith("PRESENCE T1 ")
 
-    def test_map_rendering(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
-        occupancy = (True, False) + (True,) * 18
-        tray_path = write_tray(tmp_path, "tray.pgm", occupancy, seed=15)
+    def test_map_rendering(self, inputs, tmp_path):
         map_path = tmp_path / "map.ppm"
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(layout_path),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-            "--map", str(map_path),
-        ])
+        code, _, _ = run("inspect", "--image", inputs.tray, "--layout", inputs.layout,
+                         "--refs", inputs.refs, "--tray-id", "T1", "--map", map_path)
         assert code == 0
         data = map_path.read_bytes()
         assert data.startswith(b"P6\n")
@@ -203,64 +200,37 @@ class TestInspect:
         assert tuple(rgb[7, 7]) == (0, 200, 0)  # slot 0 occupied
         assert tuple(rgb[7, 19]) == (200, 0, 0)  # slot 1 empty
 
-    def test_unwritable_map_exit_2_before_any_record(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
-        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=15)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(layout_path),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-            "--map", str(tmp_path / "missing" / "map.ppm"),
-        ])
-        out = capsys.readouterr()
+    def test_unwritable_map_exit_2_before_any_record(self, inputs, tmp_path):
+        code, out, err = run("inspect", "--image", inputs.tray, "--layout", inputs.layout,
+                             "--refs", inputs.refs, "--tray-id", "T1",
+                             "--map", tmp_path / "missing" / "map.ppm")
         assert code == 2
-        assert out.out == ""
-        assert len(out.err.splitlines()) == 1
-        assert out.err.startswith("error: ")
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
-    def test_layout_defaults_to_the_refs_layout(self, tmp_path, capsys):
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
+    def test_layout_defaults_to_the_refs_layout(self, inputs, tmp_path):
         occupancy = tuple(c == "1" for c in "10101111011111100111")
-        tray_path = write_tray(tmp_path, "tray.pgm", occupancy, seed=16)
-        capsys.readouterr()
+        tray_path = write_tray(tmp_path / "tray.pgm", occupancy, seed=16)
         runs = []
-        for name, layout_args in (("given", ["--layout", str(layout_path)]), ("stored", [])):
+        for name, layout_args in (("given", ["--layout", inputs.layout]), ("stored", [])):
             map_path = tmp_path / f"{name}.ppm"
-            code = main([
-                "inspect",
-                "--image", str(tray_path),
-                *layout_args,
-                "--refs", str(refs_path),
-                "--tray-id", "T1",
-                "--map", str(map_path),
-            ])
-            out = capsys.readouterr()
-            runs.append((code, out.out, out.err, map_path.read_bytes()))
+            result = run("inspect", "--image", tray_path, *layout_args, "--refs", inputs.refs,
+                         "--tray-id", "T1", "--map", map_path)
+            runs.append((*result, map_path.read_bytes()))
         assert runs[0] == runs[1]
         assert runs[0][1] == "PRESENCE T1 10101111011111100111\n"
 
-    def test_mismatched_layout_one_error_line(self, tmp_path, capsys):
-        _, refs_path = calibrate_presence_files(tmp_path)
+    def test_mismatched_layout_one_error_line(self, inputs, tmp_path):
         other_layout = tmp_path / "other.cfg"
         other_layout.write_text(LAYOUT_TEXT.replace("pitch_x = 12", "pitch_x = 11"))
-        tray_path = write_tray(tmp_path, "tray.pgm", (True,) * 20, seed=14)
-        capsys.readouterr()
-        code = main([
-            "inspect",
-            "--image", str(tray_path),
-            "--layout", str(other_layout),
-            "--refs", str(refs_path),
-            "--tray-id", "T1",
-        ])
-        out = capsys.readouterr()
+        code, out, err = run("inspect", "--image", inputs.tray, "--layout", other_layout,
+                             "--refs", inputs.refs, "--tray-id", "T1")
         assert code == 2
-        assert out.out == ""
-        assert len(out.err.splitlines()) == 1
-        assert out.err.startswith("error: ")
-        assert "different layout" in out.err
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "different layout" in err
 
 
 class TestMalformedInputFiles:
@@ -283,41 +253,14 @@ class TestMalformedInputFiles:
     IMAGE_FLAGS = {"--image", "--with", "--without", "--samples"}
 
     @pytest.fixture(scope="class")
-    def argvs(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("inputs")
-        layout_path, refs_path = calibrate_presence_files(tmp_path)
-        model_path = tmp_path / "model.txt"
-        model_path.write_text(save_placement_model(
-            PlacementModel(roi=Rect(0, 0, 6, 6), n=30, mean_value=118.0, std_value=2.0)
-        ))
-        socket_path = tmp_path / "socket.pgm"
-        save_gray_image(GrayImage(np.full((6, 6), 120, dtype=np.uint8)), socket_path)
-        labels = "".join(f"{i} {i % 2}\n" for i in range(20))
-        (tmp_path / "pred.txt").write_text(labels)
-        (tmp_path / "truth.txt").write_text(labels)
-        scene_path = tmp_path / "scene.cfg"
-        scene_path.write_text(format_scene(SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)))
+    def options(self, working_options, inputs):
+        # Every flag in CASES, each naming one file, which a cut can shorten.
         return {
-            "inspect": {
-                "--image": write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12),
-                "--layout": layout_path,
-                "--refs": refs_path,
-                "--tray-id": "T",
-            },
-            "verify": {"--model": model_path, "--image": socket_path, "--id": "S"},
-            "calibrate-presence": {
-                "--layout": layout_path,
-                "--with": tmp_path / "with.pgm",
-                "--without": tmp_path / "without.pgm",
-                "--out": tmp_path / "refs.txt",
-            },
+            **working_options,
+            "inspect": {**working_options["inspect"], "--layout": inputs.layout},
             "calibrate-placement": {
-                "--samples": socket_path,
-                "--roi": "0,0,6,6",
-                "--out": tmp_path / "placement.txt",
+                **working_options["calibrate-placement"], "--samples": inputs.samples / "s0000.pgm",
             },
-            "evaluate": {"--pred": tmp_path / "pred.txt", "--truth": tmp_path / "truth.txt"},
-            "synth": {"--scene": scene_path, "--out-dir": tmp_path / "synth"},
         }
 
     @pytest.mark.parametrize("command, flag", CASES)
@@ -326,43 +269,32 @@ class TestMalformedInputFiles:
         contents=st.binary() | st.text().map(str.encode),
         cut=st.none() | st.floats(0, 1, exclude_max=True),
     )
-    def test_exit_2_with_one_error_line(self, argvs, command, flag, contents, cut):
-        options = dict(argvs[command])
-        bad = options[flag].with_name("arbitrary")
+    def test_exit_2_with_one_error_line(self, inputs, options, command, flag, contents, cut):
         if flag in self.IMAGE_FLAGS and cut is not None:
             # A valid image cut short anywhere, header or pixel payload.
-            valid = options[flag].read_bytes()
+            valid = options[command][flag].read_bytes()
             contents = valid[: int(cut * len(valid))]
+        bad = inputs.out / "arbitrary"
         bad.write_bytes(contents)
-        options[flag] = bad
-        argv = [command]
-        for name, value in options.items():
-            argv += [name, str(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, out, err = run(command, *flags({**options[command], flag: bad}))
         assert code == 2
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith("error: ")
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
     # A record id is one stdout field: whitespace would split it or forge a record.
     @pytest.mark.parametrize("command, flag", [("inspect", "--tray-id"), ("verify", "--id")])
     @pytest.mark.parametrize("ident", ["", "A B", "A\tB", "A\nPRESENCE B 1"])
-    def test_bad_record_id_exit_2_naming_the_flag(self, argvs, command, flag, ident):
-        argv = [command]
-        for name, value in dict(argvs[command], **{flag: ident}).items():
-            argv += [name, str(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+    def test_bad_record_id_exit_2_naming_the_flag(self, options, command, flag, ident):
+        code, out, err = run(command, *flags({**options[command], flag: ident}))
         assert code == 2
-        assert out.getvalue() == ""
-        assert len(err.getvalue().splitlines()) == 1
-        assert err.getvalue().startswith(f"error: {flag} ")
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {flag} ")
 
 
-def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False, close_stdout=False):
+def run_cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stderr=False, unbuffered=False,
+            close_stdout=False):
     """Run ``python -m traysight.cli`` in a new process, the way users start it.
 
     PYTHONUNBUFFERED is removed from the child's environment unless asked for.
@@ -370,7 +302,7 @@ def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False, 
     failures that only show in the interpreter's buffered flush at exit (such
     as exit code 120 on a closed stdout). With ``close_stderr`` the child starts
     with fd 2 closed, as after ``2>&-``, and with ``close_stdout`` with fd 1
-    closed, as after ``>&-``.
+    closed, as after ``>&-``. ``stdout`` and ``stderr`` go to ``subprocess.run``.
     """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("PYTHONUNBUFFERED", None)
@@ -380,12 +312,12 @@ def run_cli(argv, stdout=subprocess.PIPE, close_stderr=False, unbuffered=False, 
     closes = " >&-" * close_stdout + " 2>&-" * close_stderr
     if closes:
         command = ["/bin/sh", "-c", f'exec "$@"{closes}', "sh", *command]
-    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120)
+    return subprocess.run(command, stdout=stdout, stderr=stderr, env=env, timeout=120)
 
 
 @contextlib.contextmanager
-def stdout_target(kind):
-    """A child's stdout: a pipe that is read, a pipe whose reader is gone, or /dev/full."""
+def stream_target(kind):
+    """A child's output stream: a pipe that is read, a pipe whose reader is gone, or /dev/full."""
     if kind == "pipe":
         yield subprocess.PIPE
     elif kind == "reader-closed":
@@ -411,37 +343,22 @@ RECORD = re.compile(
 class TestStreamFailures:
     """A failed write to stdout or stderr exits 2, and diagnostics never reach stdout."""
 
-    @pytest.fixture(scope="class")
-    def argvs(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("streams")
-        _, refs_path = calibrate_presence_files(tmp_path)
-        tray = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
-        model_path = tmp_path / "model.txt"
-        model_path.write_text(save_placement_model(
-            PlacementModel(roi=Rect(0, 0, 6, 6), n=30, mean_value=118.0, std_value=2.0)
-        ))
-        socket_path = tmp_path / "socket.pgm"
-        save_gray_image(GrayImage(np.full((6, 6), 120, dtype=np.uint8)), socket_path)
-        labels = tmp_path / "labels.txt"
-        labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
-        # name: (argv, exit code with a working stdout, record lines)
-        return {
-            "inspect": (["inspect", "--image", tray, "--refs", refs_path, "--tray-id", "T"], 0, 1),
-            "inspect-missing-refs": (
-                ["inspect", "--image", tray, "--refs", tmp_path / "none.txt", "--tray-id", "T"], 2, 0
-            ),
-            "verify": (["verify", "--image", socket_path, "--model", model_path, "--id", "S"], 0, 1),
-            "evaluate": (["evaluate", "--pred", labels, "--truth", labels], 0, 2),
-        }
+    # name: (exit code with a working stdout, record lines)
+    CASES = {"inspect": (0, 1), "inspect-missing-refs": (2, 0), "verify": (0, 1), "evaluate": (0, 2)}
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("stderr", ["pipe", "closed"])
     @pytest.mark.parametrize("stdout", ["pipe", "reader-closed", "full"])
-    @pytest.mark.parametrize("case", ["inspect", "inspect-missing-refs", "verify", "evaluate"])
-    def test_exit_code_and_streams(self, argvs, case, stdout, stderr, unbuffered):
-        argv, code, records = argvs[case]
-        with stdout_target(stdout) as target:
-            proc = run_cli(argv, stdout=target, close_stderr=stderr == "closed", unbuffered=unbuffered)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code_and_streams(self, inputs, working_options, case, stdout, stderr, unbuffered):
+        command = case.removesuffix("-missing-refs")
+        options = dict(working_options[command])
+        if command != case:
+            options["--refs"] = inputs.out / "none.txt"
+        code, records = self.CASES[case]
+        with stream_target(stdout) as target:
+            proc = run_cli([command, *flags(options)], stdout=target, close_stderr=stderr == "closed",
+                           unbuffered=unbuffered)
         writes_fail = stdout != "pipe" and records > 0
         assert proc.returncode == (2 if writes_fail else code)
         if stdout == "pipe":
@@ -455,68 +372,60 @@ class TestStreamFailures:
         else:
             assert proc.stderr == b""
 
-
-@pytest.fixture(scope="module")
-def subcommand_argvs(tmp_path_factory):
-    """Per subcommand: a working argv and the file it writes (None for none)."""
-    tmp_path = tmp_path_factory.mktemp("subcommands")
-    layout_path, refs_path = calibrate_presence_files(tmp_path)
-    tray = write_tray(tmp_path, "tray.pgm", (True, False) * 10, seed=12)
-    roi = Rect(1, 1, 8, 8)
-    samples = write_socket_samples(tmp_path / "samples", roi, 30)
-    model_path = tmp_path / "model.txt"
-    model_path.write_text(save_placement_model(
-        PlacementModel(roi=roi, n=30, mean_value=118.0, std_value=2.0)
-    ))
-    labels = tmp_path / "labels.txt"
-    labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
-    scene = tmp_path / "scene.cfg"
-    scene.write_text(format_scene(SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)))
-    (tmp_path / "out").mkdir()
-    out = {name: tmp_path / "out" / name for name in ("refs.txt", "model.txt", "synth")}
-    return {
-        "calibrate-presence": ([
-            "calibrate-presence", "--with", tmp_path / "with.pgm", "--without", tmp_path / "without.pgm",
-            "--layout", layout_path, "--out", out["refs.txt"],
-        ], out["refs.txt"]),
-        "inspect": (["inspect", "--image", tray, "--refs", refs_path, "--tray-id", "T"], None),
-        "calibrate-placement": ([
-            "calibrate-placement", "--samples", samples, "--roi", "1,1,8,8", "--out", out["model.txt"],
-        ], out["model.txt"]),
-        "verify": (["verify", "--image", samples / "s0000.pgm", "--model", model_path, "--id", "S"], None),
-        "evaluate": (["evaluate", "--pred", labels, "--truth", labels], None),
-        "synth": (["synth", "--scene", scene, "--out-dir", out["synth"]], out["synth"] / "truth.txt"),
-    }
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, stdout, stderr, code", [
+        (["--help"], "pipe", "pipe", 0),
+        (["--help"], "full", "pipe", 2),
+        (["--help"], "reader-closed", "pipe", 2),
+        (["inspect"], "pipe", "pipe", 2),
+        (["inspect"], "pipe", "full", 2),
+    ], ids=["help", "help-stdout-full", "help-reader-closed", "usage-error", "usage-error-stderr-full"])
+    def test_help_and_usage_errors(self, argv, stdout, stderr, code, unbuffered):
+        """argparse's own output keeps the exit codes: a failed write of it is exit 2 too."""
+        with stream_target(stdout) as out, stream_target(stderr) as err:
+            proc = run_cli(argv, stdout=out, stderr=err, unbuffered=unbuffered)
+        assert proc.returncode == code
+        if stdout == "pipe":
+            assert proc.stdout.startswith(b"usage: traysight") == (code == 0)
+        if stderr == "pipe":
+            text = proc.stderr.decode()
+            errors = [line for line in text.splitlines() if line.startswith("error:")]
+            assert len(errors) == (stdout != "pipe")
+            assert "Exception ignored" not in text
+            assert "Traceback" not in text
 
 
 class TestClosedStdout:
     """Started with stdout closed (``>&-``), a command that prints records exits 2
     with one error line; a command that prints none still does its work."""
 
+    WRITTEN = {
+        "calibrate-presence": "refs.txt", "calibrate-placement": "model.txt", "synth": "synth/truth.txt",
+    }
+
     @pytest.mark.parametrize("command, code", [
         ("calibrate-presence", 0), ("inspect", 2), ("calibrate-placement", 0),
         ("verify", 2), ("evaluate", 2), ("synth", 0),
     ])
-    def test_exit_code_and_error_line(self, subcommand_argvs, command, code):
-        argv, written = subcommand_argvs[command]
-        proc = run_cli(argv, close_stdout=True)
+    def test_exit_code_and_error_line(self, inputs, working_options, command, code):
+        proc = run_cli([command, *flags(working_options[command])], close_stdout=True)
         assert proc.returncode == code
         errors = [line for line in proc.stderr.decode().splitlines() if line.startswith("error:")]
         assert errors == (["error: stdout is closed"] if code == 2 else [])
         assert "Traceback" not in proc.stderr.decode()
-        if written is not None:
-            assert written.exists()
+        if command in self.WRITTEN:
+            assert (inputs.out / self.WRITTEN[command]).exists()
 
 
-def test_record_commands_import_neither_synthgen_nor_evaluation(subcommand_argvs):
+def test_record_commands_import_neither_synthgen_nor_evaluation(working_options):
     """``inspect`` and ``verify`` as the console script runs them load no module they do not use,
     and freeze the objects made at import."""
-    argvs = [[str(a) for a in subcommand_argvs[command][0]] for command in ("inspect", "verify")]
+    commands = [[command, *flags(working_options[command])] for command in ("inspect", "verify")]
     script = (
         "import gc, json, sys\n"
         "from traysight.cli import main\n"
         "codes = []\n"
-        f"for argv in {argvs!r}:\n"
+        f"for argv in {commands!r}:\n"
         "    sys.argv = ['traysight', *argv]\n"
         "    codes.append(main())\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('traysight'))\n"
@@ -533,215 +442,131 @@ def test_record_commands_import_neither_synthgen_nor_evaluation(subcommand_argvs
 
 
 @pytest.mark.parametrize("tray_id, code", [("T", 0), ("A B", 2)])
-def test_main_with_argv_leaves_the_callers_gc_alone(subcommand_argvs, tray_id, code):
+def test_main_with_argv_leaves_the_callers_gc_alone(working_options, tray_id, code):
     """A freeze is process-wide, so an in-process call must not make the caller's objects uncollectable."""
-    argv = [str(a) for a in subcommand_argvs["inspect"][0][:-1]] + [tray_id]
     before = (gc.get_freeze_count(), gc.isenabled())
-    assert main(argv) == code
+    assert main(["inspect", *flags({**working_options["inspect"], "--tray-id": tray_id})]) == code
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestCalibratePlacement:
-    ROI = Rect(1, 1, 8, 8)
-
-    def write_samples(self, tmp_path, count):
-        return write_socket_samples(tmp_path / "samples", self.ROI, count)
-
-    def test_full_calibration(self, tmp_path, capsys):
-        sample_dir = self.write_samples(tmp_path, 30)
+    def test_full_calibration(self, inputs, tmp_path):
         model_path = tmp_path / "model.txt"
-        code = main([
-            "calibrate-placement",
-            "--samples", str(sample_dir),
-            "--roi", "1,1,8,8",
-            "--out", str(model_path),
-        ])
-        out = capsys.readouterr()
+        code, _, err = run("calibrate-placement", "--samples", inputs.samples, "--roi", "1,1,8,8",
+                           "--out", model_path)
         assert code == 0
-        assert "WARN" not in out.err
+        assert "WARN" not in err
         assert model_path.read_text().startswith("TRAYSIGHT-PLACEMENT 1\n")
 
-    def test_under_sampled_warns(self, tmp_path, capsys):
-        sample_dir = self.write_samples(tmp_path, 10)
-        code = main([
-            "calibrate-placement",
-            "--samples", str(sample_dir),
-            "--roi", "1,1,8,8",
-            "--out", str(tmp_path / "model.txt"),
-        ])
-        out = capsys.readouterr()
+    def test_under_sampled_warns(self, inputs, tmp_path):
+        code, _, err = run("calibrate-placement", "--samples", *sorted(inputs.samples.iterdir())[:10],
+                           "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
         assert code == 0
-        assert "WARN under-sampled n=10" in out.err
+        assert "WARN under-sampled n=10" in err
 
-    def test_single_sample_exit_2(self, tmp_path, capsys):
-        sample_dir = self.write_samples(tmp_path, 1)
-        code = main([
-            "calibrate-placement",
-            "--samples", str(sample_dir),
-            "--roi", "1,1,8,8",
-            "--out", str(tmp_path / "model.txt"),
-        ])
+    def test_single_sample_exit_2(self, inputs, tmp_path):
+        code, _, err = run("calibrate-placement", "--samples", inputs.samples / "s0000.pgm",
+                           "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
         assert code == 2
-        assert "at least 2" in capsys.readouterr().err
+        assert "at least 2" in err
 
-    def test_explicit_file_list(self, tmp_path, capsys):
-        sample_dir = self.write_samples(tmp_path, 3)
-        files = sorted(str(p) for p in sample_dir.iterdir())
-        code = main([
-            "calibrate-placement",
-            "--samples", *files,
-            "--roi", "1,1,8,8",
-            "--min-n", "3",
-            "--out", str(tmp_path / "model.txt"),
-        ])
-        out = capsys.readouterr()
+    def test_explicit_file_list(self, inputs, tmp_path):
+        code, _, err = run("calibrate-placement", "--samples", *sorted(inputs.samples.iterdir())[:3],
+                           "--roi", "1,1,8,8", "--min-n", "3", "--out", tmp_path / "model.txt")
         assert code == 0
-        assert "WARN" not in out.err
+        assert "WARN" not in err
 
-    def test_bad_roi_exit_2(self, tmp_path, capsys):
-        sample_dir = self.write_samples(tmp_path, 2)
-        code = main([
-            "calibrate-placement",
-            "--samples", str(sample_dir),
-            "--roi", "1,1,8",
-            "--out", str(tmp_path / "model.txt"),
-        ])
+    def test_bad_roi_exit_2(self, inputs, tmp_path):
+        code, _, err = run("calibrate-placement", "--samples", inputs.samples, "--roi", "1,1,8",
+                           "--out", tmp_path / "model.txt")
         assert code == 2
-        assert "--roi" in capsys.readouterr().err
+        assert "--roi" in err
 
 
 class TestVerify:
-    def write_model(self, tmp_path):
-        model = PlacementModel(roi=Rect(0, 0, 6, 6), n=30, mean_value=118.0, std_value=2.0)
-        path = tmp_path / "model.txt"
-        path.write_text(save_placement_model(model))
-        return path
-
-    def write_socket(self, tmp_path, value):
-        img = GrayImage(np.full((6, 6), value, dtype=np.uint8))
-        path = tmp_path / f"socket_{value}.pgm"
-        save_gray_image(img, path)
-        return path
-
-    def test_ok_verdict(self, tmp_path, capsys):
-        model_path = self.write_model(tmp_path)
-        image_path = self.write_socket(tmp_path, 120)  # deviation 2.0 <= 3.92
-        code = main(["verify", "--image", str(image_path), "--model", str(model_path), "--id", "S1"])
-        out = capsys.readouterr()
+    def test_ok_verdict(self, inputs):
+        # deviation 2.0 <= 3.92
+        code, out, _ = run("verify", "--image", inputs.socket, "--model", inputs.socket_model, "--id", "S1")
         assert code == 0
-        assert out.out == "PLACEMENT S1 OK\n"
+        assert out == "PLACEMENT S1 OK\n"
 
-    def test_ng_verdict(self, tmp_path, capsys):
-        model_path = self.write_model(tmp_path)
-        image_path = self.write_socket(tmp_path, 125)  # deviation 7.0 > 3.92
-        code = main(["verify", "--image", str(image_path), "--model", str(model_path), "--id", "S2"])
-        out = capsys.readouterr()
+    def test_ng_verdict(self, inputs, tmp_path):
+        image_path = write_socket(tmp_path / "socket.pgm", 125)  # deviation 7.0 > 3.92
+        code, out, _ = run("verify", "--image", image_path, "--model", inputs.socket_model, "--id", "S2")
         assert code == 1
-        assert out.out == (
+        assert out == (
             "PLACEMENT S2 NG value=125.000000 mean=118.000000 threshold=3.920000\n"
         )
 
-    def test_missing_model_exit_2(self, tmp_path, capsys):
-        image_path = self.write_socket(tmp_path, 120)
-        code = main(["verify", "--image", str(image_path), "--model", str(tmp_path / "none.txt"),
-                     "--id", "S3"])
+    def test_missing_model_exit_2(self, inputs, tmp_path):
+        code, out, _ = run("verify", "--image", inputs.socket, "--model", tmp_path / "none.txt", "--id", "S3")
         assert code == 2
-        assert capsys.readouterr().out == ""
+        assert out == ""
 
 
 class TestEvaluate:
-    def test_reference_counts(self, tmp_path, capsys):
-        pred_lines = []
-        truth_lines = []
-        idx = 0
-
-        def add(n, predicted, actual):
-            nonlocal idx
-            for _ in range(n):
-                pred_lines.append(f"ob{idx} {predicted}")
-                truth_lines.append(f"ob{idx} {actual}")
-                idx += 1
-
-        add(4334, 1, 1)
-        add(2, 0, 1)
-        add(13, 1, 0)
-        add(13641, 0, 0)
+    def test_reference_counts(self, tmp_path):
+        pairs = [(1, 1)] * 4334 + [(0, 1)] * 2 + [(1, 0)] * 13 + [(0, 0)] * 13641
         pred = tmp_path / "pred.txt"
         truth = tmp_path / "truth.txt"
-        pred.write_text("\n".join(pred_lines) + "\n")
-        truth.write_text("\n".join(truth_lines) + "\n")
-        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
-        out = capsys.readouterr()
+        pred.write_text("".join(f"ob{i} {predicted}\n" for i, (predicted, _) in enumerate(pairs)))
+        truth.write_text("".join(f"ob{i} {actual}\n" for i, (_, actual) in enumerate(pairs)))
+        code, out, _ = run("evaluate", "--pred", pred, "--truth", truth)
         assert code == 0
-        assert out.out == (
+        assert out == (
             "TP 4334 FN 2 FP 13 TN 13641\n"
             "accuracy 0.9992 precision 0.9970 recall 0.9995\n"
         )
 
-    def test_identical_files_accuracy_one(self, tmp_path, capsys):
-        labels = "a 1\nb 0\nc 1\n"
-        pred = tmp_path / "pred.txt"
-        truth = tmp_path / "truth.txt"
-        pred.write_text(labels)
-        truth.write_text(labels)
-        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
-        out = capsys.readouterr()
+    def test_identical_files_accuracy_one(self, inputs):
+        code, out, _ = run("evaluate", "--pred", inputs.labels, "--truth", inputs.labels)
         assert code == 0
-        assert "accuracy 1.0000" in out.out
+        assert "accuracy 1.0000" in out
 
-    def test_mismatched_ids_exit_2(self, tmp_path, capsys):
+    def test_mismatched_ids_exit_2(self, tmp_path):
         pred = tmp_path / "pred.txt"
         truth = tmp_path / "truth.txt"
         pred.write_text("a 1\n")
         truth.write_text("b 1\n")
-        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        code, _, err = run("evaluate", "--pred", pred, "--truth", truth)
         assert code == 2
-        assert "do not match" in capsys.readouterr().err
+        assert "do not match" in err
 
 
 class TestSynth:
-    def write_scene(self, tmp_path, **overrides):
-        spec = SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)
-        text = format_scene(spec)
-        for key, value in overrides.items():
-            old = next(line for line in text.splitlines() if line.startswith(f"{key} "))
-            text = text.replace(old, f"{key} = {value}")
+    @pytest.fixture
+    def equal_means(self, tmp_path):
         path = tmp_path / "scene.cfg"
-        path.write_text(text)
+        path.write_text(format_scene(dataclasses.replace(SCENE, mu_without=SCENE.mu_with)))
         return path
 
-    def test_writes_image_and_truth(self, tmp_path, capsys):
-        scene = self.write_scene(tmp_path)
-        out_dir = tmp_path / "out"
-        code = main(["synth", "--scene", str(scene), "--out-dir", str(out_dir)])
+    def test_writes_image_and_truth(self, inputs, tmp_path):
+        code, out, _ = run("synth", "--scene", inputs.scene, "--out-dir", tmp_path)
         assert code == 0
-        assert capsys.readouterr().out == ""
-        img = decode_pnm((out_dir / "tray.pgm").read_bytes())
+        assert out == ""
+        img = decode_pnm((tmp_path / "tray.pgm").read_bytes())
         assert (img.width, img.height) == (2 + 5 * 12, 2 + 4 * 12)
-        truth_lines = (out_dir / "truth.txt").read_text().splitlines()
+        truth_lines = (tmp_path / "truth.txt").read_text().splitlines()
         assert len(truth_lines) == 20
         assert truth_lines[0] == "0 1"
         assert truth_lines[1] == "1 0"
 
-    def test_deterministic_output(self, tmp_path):
-        scene = self.write_scene(tmp_path)
+    def test_deterministic_output(self, inputs, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert main(["synth", "--scene", str(scene), "--out-dir", str(out_a)]) == 0
-        assert main(["synth", "--scene", str(scene), "--out-dir", str(out_b)]) == 0
+        assert run("synth", "--scene", inputs.scene, "--out-dir", out_a)[0] == 0
+        assert run("synth", "--scene", inputs.scene, "--out-dir", out_b)[0] == 0
         assert (out_a / "tray.pgm").read_bytes() == (out_b / "tray.pgm").read_bytes()
         assert (out_a / "truth.txt").read_text() == (out_b / "truth.txt").read_text()
 
-    def test_require_separable(self, tmp_path, capsys):
-        scene = self.write_scene(tmp_path, mu_without="130.000000")
-        code = main(["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "out"),
-                     "--require-separable"])
+    def test_require_separable(self, equal_means, tmp_path):
+        code, _, err = run("synth", "--scene", equal_means, "--out-dir", tmp_path / "out",
+                           "--require-separable")
         assert code == 2
-        assert "not separable" in capsys.readouterr().err
+        assert "not separable" in err
 
-    def test_equal_means_allowed_without_flag(self, tmp_path):
-        scene = self.write_scene(tmp_path, mu_without="130.000000")
-        assert main(["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "out")]) == 0
+    def test_equal_means_allowed_without_flag(self, equal_means, tmp_path):
+        assert run("synth", "--scene", equal_means, "--out-dir", tmp_path / "out")[0] == 0
 
     @pytest.mark.parametrize(
         "exc, line",
@@ -750,17 +575,15 @@ class TestSynth:
             (MemoryError(), "error: out of memory"),
         ],
     )
-    def test_memory_error_exit_2(self, tmp_path, capsys, monkeypatch, exc, line):
+    def test_memory_error_exit_2(self, inputs, tmp_path, monkeypatch, exc, line):
         def exhausted(spec):
             raise exc
 
         monkeypatch.setattr(synthgen, "generate_tray", exhausted)
-        scene = self.write_scene(tmp_path)
-        code = main(["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "out")])
+        code, out, err = run("synth", "--scene", inputs.scene, "--out-dir", tmp_path / "out")
         assert code == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.splitlines() == [line]
+        assert out == ""
+        assert err.splitlines() == [line]
 
 
 class TestOptionInventory:

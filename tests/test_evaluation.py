@@ -128,7 +128,7 @@ class TestLabelFiles:
 
     def test_format_parse_roundtrip(self):
         labels = {"t1-s0": True, "t1-s1": False, "t2-s0": True}
-        assert parse_labels(format_labels(labels)) == labels
+        assert parse_labels(format_labels(labels.items())) == labels
 
     def test_blank_lines_skipped(self):
         assert parse_labels("\na 1\n\nb 0\n\n") == {"a": True, "b": False}
