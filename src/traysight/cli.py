@@ -32,6 +32,7 @@ from . import imaging, placement, presence, tray_grid
 OCCUPIED_COLOR = (0, 200, 0)
 EMPTY_COLOR = (200, 0, 0)
 BACKGROUND_COLOR = (90, 90, 90)
+_GRID_CHARS = str.maketrans("01", ".#")  # the tray grid printed to stderr
 
 
 def _read_text(path) -> str:
@@ -77,7 +78,8 @@ def _render_map(image, layout, result) -> np.ndarray:
     palette = np.array([EMPTY_COLOR, OCCUPIED_COLOR], dtype=np.uint8)
     slots = tray_grid.slot_grid(rgb, layout)
     # Paint each slot's top row, then copy it down the slot, as for the background.
-    slots[:, :, 0] = palette.take(np.reshape(result.bits, (layout.rows, layout.cols, 1)), axis=0)
+    bits = np.frombuffer(result.bitstring.encode("ascii"), np.uint8) - ord("0")
+    slots[:, :, 0] = palette.take(bits.reshape(layout.rows, layout.cols, 1), axis=0)
     slots[:, :, 1:] = slots[:, :, :1]
     return rgb
 
@@ -100,12 +102,11 @@ def cmd_inspect(args) -> int:
     if args.map:
         imaging.save_color_image(_render_map(image, layout, result), args.map)
     print(f"PRESENCE {args.tray_id} {result.bitstring}")
-    for i, flagged in enumerate(result.warnings):
-        if flagged:
-            print(f"WARN slot {i} outlier", file=sys.stderr)
-    for row in range(layout.rows):
-        cells = result.bits[row * layout.cols : (row + 1) * layout.cols]
-        print("".join("#" if bit else "." for bit in cells), file=sys.stderr)
+    for i in result.outliers:
+        print(f"WARN slot {i} outlier", file=sys.stderr)
+    cells = result.bitstring.translate(_GRID_CHARS)
+    for start in range(0, len(cells), layout.cols):
+        print(cells[start : start + layout.cols], file=sys.stderr)
     return 0
 
 

@@ -33,6 +33,7 @@ _STORE_MAGIC = "TRAYSIGHT-PRESENCE"
 _STORE_VERSION = 1
 DEFAULT_OUTLIER_K = 4.0  # flag readings further than 4 reference separations from both
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,21 @@ class PresenceReferenceSet:
 
 @dataclass(frozen=True)
 class OccupancyResult:
-    """Per-slot 1/0 bits in slot-index order, plus per-slot outlier flags."""
+    """One tray's verdict in slot-index order.
 
-    bits: tuple[int, ...]
-    warnings: tuple[bool, ...]
+    ``bitstring`` holds one character per slot, "1" occupied and "0" empty: the
+    verdict record's field. ``outliers`` holds the ascending indices of the slots
+    whose reading sits further than outlier_k reference separations from both
+    references; the flag never changes a bit.
+    """
+
+    bitstring: str
+    outliers: tuple[int, ...]
 
     @property
-    def bitstring(self) -> str:
-        return bytes(self.bits).translate(_BIT_CHARS).decode("ascii")
+    def bits(self) -> tuple[int, ...]:
+        """The bitstring as 1/0 ints."""
+        return tuple(self.bitstring.encode("ascii").translate(_BIT_VALUES))
 
 
 def calibrate_presence(
@@ -149,7 +157,11 @@ def inspect_tray(
     with_, without, separation = refs._columns
     occupied, nearer = _nearest_reference(value, with_, without)
     flags = nearer > outlier_k * separation
-    return OccupancyResult(tuple(occupied.view(np.uint8).tolist()), tuple(flags.tolist()))
+    # A bool array's bytes are 0 and 1, one per slot.
+    bitstring = occupied.tobytes().translate(_BIT_CHARS).decode("ascii")
+    # count_nonzero is the cheap test; flags.any() costs about as much as the tuples it skips.
+    outliers = tuple(flags.nonzero()[0].tolist()) if np.count_nonzero(flags) else ()
+    return OccupancyResult(bitstring, outliers)
 
 
 def save_presence_refs(refs: PresenceReferenceSet) -> str:

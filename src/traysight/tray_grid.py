@@ -156,6 +156,22 @@ def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
     )
 
 
+def _accumulator(pixels: int) -> type:
+    """The smallest unsigned type that holds the sum of ``pixels`` pixels of 255.
+
+    ``np.min_scalar_type`` gives the same type at several times the cost. Past
+    uint64 it gives ``object``; no layout that large fits an image, so uint64 stands in.
+    """
+    top = 255 * pixels
+    if top < 2**8:
+        return np.uint8
+    if top < 2**16:
+        return np.uint16
+    if top < 2**32:
+        return np.uint32
+    return np.uint64
+
+
 def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     """Every slot's exact pixel sum, in slot-index order, as a 1-D unsigned array.
 
@@ -163,11 +179,13 @@ def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     ``slot_grid`` view. A grid takes the band path: each slot row's ``slot_h``
     image rows are summed across the grid's whole width, then each slot's
     ``slot_w`` columns of those band sums, which keeps numpy's inner loops long.
-    Each reduction accumulates in the smallest unsigned type that holds 255 times
-    its pixel count, so no sum can wrap. Raises ValueError unless the layout fits.
+    That second stage is an einsum: ``sum(axis=2)`` over a few columns at a time
+    runs numpy's slow short-axis reduction. Each stage accumulates in the smallest
+    unsigned type that holds 255 times its pixel count, so no sum can wrap.
+    Raises ValueError unless the layout fits.
     """
     pixels = image.pixels
-    total = np.min_scalar_type(255 * layout.slot_h * layout.slot_w)
+    total = _accumulator(layout.slot_h * layout.slot_w)
     if layout.slot_count == 1:
         return slot_grid(pixels, layout).sum(axis=(2, 3), dtype=total).ravel()
     dy, dx = pixels.strides
@@ -177,12 +195,12 @@ def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
         _origin(pixels, layout),
         (layout.rows, layout.slot_h, span),
         (layout.pitch_y * dy, dy, dx),
-    ).sum(axis=1, dtype=np.min_scalar_type(255 * layout.slot_h))
+    ).sum(axis=1, dtype=_accumulator(layout.slot_h))
     band_y, band_x = bands.strides
     cells = _view(
         bands, 0, (layout.rows, layout.cols, layout.slot_w), (band_y, layout.pitch_x * band_x, band_x)
     )
-    return cells.sum(axis=2, dtype=total).ravel()
+    return np.einsum("rcw->rc", cells, dtype=total).ravel()
 
 
 def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:

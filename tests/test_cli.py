@@ -276,11 +276,16 @@ class TestMalformedInputFiles:
             contents = valid[: int(cut * len(valid))]
         bad = inputs.out / "arbitrary"
         bad.write_bytes(contents)
-        code, out, err = run(command, *flags({**options[command], flag: bad}))
+        argv = flags({**options[command], flag: bad})
+        if flag == "--samples":
+            # With one valid sample beside it, exit 2 must come from the malformed file.
+            argv.insert(argv.index(str(bad)) + 1, str(inputs.samples / "s0001.pgm"))
+        code, out, err = run(command, *argv)
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+        assert "need at least 2 samples" not in err
 
     # A record id is one stdout field: whitespace would split it or forge a record.
     @pytest.mark.parametrize("command, flag", [("inspect", "--tray-id"), ("verify", "--id")])

@@ -129,7 +129,7 @@ class TestInspectTray:
         result = inspect_tray(tray, layout, refs)
         assert result.bitstring == "10110"
         assert result.bits == tuple(int(b) for b in truth)
-        assert not any(result.warnings)
+        assert result.outliers == ()
 
     def test_with_calibration_image_is_all_ones(self):
         layout = small_layout()
@@ -145,13 +145,13 @@ class TestInspectTray:
         result = inspect_tray(constant_image(255, 4, 4), layout, refs, outlier_k=1.0)
         # distance to nearer reference 135 > 1.0 * separation 80
         assert result.bits == (1,)
-        assert result.warnings == (True,)
+        assert result.outliers == (0,)
 
     def test_default_k_keeps_moderate_readings_unflagged(self):
         layout = TrayLayout(1, 1, 0, 0, 4, 4, 4, 4)
         refs = make_refs(layout, [(120.0, 40.0)])
         result = inspect_tray(constant_image(110, 4, 4), layout, refs)
-        assert result.warnings == (False,)
+        assert result.outliers == ()
 
     def test_layout_fingerprint_mismatch(self):
         layout = small_layout()
@@ -224,15 +224,18 @@ class TestInspectTray:
 
         result = inspect_tray(image, layout, refs, outlier_k=outlier_k)
 
-        bits = tuple(int(classify_slot(u, w, o)) for u, (w, o) in zip(readings, pairs))
-        flags = tuple(
-            min(abs(u - w), abs(u - o)) > outlier_k * abs(w - o)
-            for u, (w, o) in zip(readings, pairs)
+        bitstring = "".join(
+            "1" if classify_slot(u, w, o) else "0" for u, (w, o) in zip(readings, pairs)
         )
-        assert result.bits == bits
-        assert result.warnings == flags
-        assert all(type(b) is int for b in result.bits)
-        assert all(type(f) is bool for f in result.warnings)
+        outliers = tuple(
+            i
+            for i, (u, (w, o)) in enumerate(zip(readings, pairs))
+            if min(abs(u - w), abs(u - o)) > outlier_k * abs(w - o)
+        )
+        assert result.bitstring == bitstring
+        assert result.outliers == outliers
+        assert type(result.bitstring) is str
+        assert all(type(i) is int for i in result.outliers)
 
     def test_result_length_equals_slot_count(self):
         layout = small_layout(3, 4)
@@ -240,8 +243,8 @@ class TestInspectTray:
             constant_image(120, 60, 60), constant_image(40, 60, 60), layout
         )
         result = inspect_tray(constant_image(100, 60, 60), layout, refs)
+        assert len(result.bitstring) == 12
         assert len(result.bits) == 12
-        assert len(result.warnings) == 12
 
 
 class TestReferenceStore:
@@ -339,7 +342,10 @@ class TestReferenceSetInvariants:
             make_refs(layout, [(256.0, 40.0)])
 
     def test_occupancy_result_bitstring(self):
-        assert OccupancyResult((1, 0, 1), (False, False, True)).bitstring == "101"
+        result = OccupancyResult("101", (2,))
+        assert result.bitstring == "101"
+        assert result.bits == (1, 0, 1)
+        assert all(type(b) is int for b in result.bits)
 
     def test_reference_arrays_are_not_fields(self):
         layout = small_layout()

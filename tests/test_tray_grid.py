@@ -158,37 +158,52 @@ def layouts_with_images(draw):
 SATURATED_ROWS = GrayImage(np.full((2, 16_843_010), 255, np.uint8))
 
 
-class TestSlotMeans:
-    @settings(deadline=None)
-    @given(layouts_with_images())
-    @example((TrayLayout(1, 1, 0, 0, 1, 1, 1, 1), GrayImage(np.array([[255]]))))
-    @example((TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), fitted_image(TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), 0, 0)))
-    @example((TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), fitted_image(TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), 1, 2)))
-    @example((TrayLayout(3, 3, 0, 0, 9, 9, 9, 9), GrayImage(np.full((27, 27), 255))))
+# Cases both slot-sum properties check before any drawn one.
+SUM_EXAMPLES = [
+    (TrayLayout(1, 1, 0, 0, 1, 1, 1, 1), GrayImage(np.array([[255]]))),
+    (TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), fitted_image(TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), 0, 0)),
+    (TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), fitted_image(TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), 1, 2)),
+    (TrayLayout(3, 3, 0, 0, 9, 9, 9, 9), GrayImage(np.full((27, 27), 255))),
     # All-255 slots at each accumulator boundary: slot_h 257 and 258 put the band sums
     # at and past the uint16 limit, areas 256 and 272 the slot sums, and a slot of
     # 16,843,010 px puts them past the uint32 limit.
-    @example((TrayLayout(1, 2, 0, 0, 2, 257, 1, 257), GrayImage(np.full((257, 3), 255))))
-    @example((TrayLayout(2, 1, 0, 0, 1, 259, 1, 258), GrayImage(np.full((517, 1), 255))))
-    @example((TrayLayout(2, 2, 1, 1, 17, 17, 16, 16), GrayImage(np.full((34, 34), 255))))
-    @example((TrayLayout(2, 2, 1, 1, 17, 17, 17, 16), GrayImage(np.full((34, 35), 255))))
-    @example((
+    (TrayLayout(1, 2, 0, 0, 2, 257, 1, 257), GrayImage(np.full((257, 3), 255))),
+    (TrayLayout(2, 1, 0, 0, 1, 259, 1, 258), GrayImage(np.full((517, 1), 255))),
+    (TrayLayout(2, 2, 1, 1, 17, 17, 16, 16), GrayImage(np.full((34, 34), 255))),
+    (TrayLayout(2, 2, 1, 1, 17, 17, 17, 16), GrayImage(np.full((34, 35), 255))),
+    (
         TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1),
         GrayImage(np.full((1, 16_843_010), 255, np.uint8)),
-    ))
+    ),
     # The same limits for one slot, summed in one reduction: areas 257 and 258 put
     # its sum at and past the uint16 limit, areas 16,843,009 and 16,843,010 at and
-    # past the uint32 limit. Two slots past the uint32 limit keep the band path there.
-    @example((TrayLayout(1, 1, 0, 0, 257, 1, 257, 1), GrayImage(np.full((1, 257), 255))))
-    @example((TrayLayout(1, 1, 2, 1, 43, 6, 43, 6), GrayImage(np.full((7, 45), 255))))
-    @example((TrayLayout(1, 1, 1, 0, 16_843_009, 1, 16_843_009, 1), SATURATED_ROWS))
-    @example((TrayLayout(1, 2, 0, 0, 8_421_505, 2, 8_421_505, 2), SATURATED_ROWS))
+    # past the uint32 limit. Two slots past the uint32 limit keep the band path there,
+    # so the grid's cell stage sums in uint64.
+    (TrayLayout(1, 1, 0, 0, 257, 1, 257, 1), GrayImage(np.full((1, 257), 255))),
+    (TrayLayout(1, 1, 2, 1, 43, 6, 43, 6), GrayImage(np.full((7, 45), 255))),
+    (TrayLayout(1, 1, 1, 0, 16_843_009, 1, 16_843_009, 1), SATURATED_ROWS),
+    (TrayLayout(1, 2, 0, 0, 8_421_505, 2, 8_421_505, 2), SATURATED_ROWS),
+]
+
+
+def sum_examples(test):
+    """``test`` with every case of SUM_EXAMPLES as an ``@example``."""
+    for case in SUM_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+class TestSlotMeans:
+    @settings(deadline=None)
+    @given(layouts_with_images())
+    @sum_examples
     def test_bit_identical_to_histogram_oracle(self, case):
         layout, image = case
         assert slot_means(image, layout) == oracle_means(image, layout)
 
     @settings(deadline=None)
     @given(layouts_with_images())
+    @sum_examples
     def test_sums_are_exact_unsigned_integers(self, case):
         layout, image = case
         sums = slot_sums(image, layout)
@@ -312,7 +327,7 @@ class TestSlotGrid:
     @example((PITCH_GAPS, fitted_image(PITCH_GAPS, 1, 2), alternating(PITCH_GAPS)))
     def test_render_map_matches_per_slot_painting(self, case):
         layout, image, bits = case
-        rgb = _render_map(image, layout, OccupancyResult(bits, (False,) * len(bits)))
+        rgb = _render_map(image, layout, OccupancyResult("".join(map(str, bits)), ()))
         assert rgb.tobytes() == reference_map(image, layout, bits).tobytes()
 
     @settings(deadline=None)
