@@ -166,14 +166,6 @@ class TestInspect:
         assert code == 0
         assert out == "PRESENCE T9 " + "1" * 20 + "\n"
 
-    def test_refs_layout_mismatch_exit_2(self, inputs, tmp_path):
-        other_layout = tmp_path / "other.cfg"
-        other_layout.write_text(LAYOUT_TEXT.replace("rows = 4", "rows = 3"))
-        code, out, _ = run("inspect", "--image", inputs.tray, "--layout", other_layout,
-                           "--refs", inputs.refs, "--tray-id", "T1")
-        assert code == 2
-        assert out == ""  # stdout stays machine-clean on errors
-
     def test_outlier_warning_on_stderr(self, inputs, tmp_path):
         bright = GrayImage(np.full((LAYOUT.origin_y + 4 * 12, LAYOUT.origin_x + 5 * 12), 255,
                                    dtype=np.uint8))

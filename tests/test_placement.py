@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import constant_image, rejects
 from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.placement import (
     PlacementModel,
@@ -24,11 +25,12 @@ from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout
 
 
-def constant_image(value, width=8, height=8):
-    return GrayImage(np.full((height, width), value, dtype=np.uint8))
-
-
 FULL_ROI = Rect(0, 0, 8, 8)
+
+
+def sample_model(**changes):
+    """The model on FULL_ROI from 30 samples of mean 100 and std 2, with ``changes`` applied."""
+    return PlacementModel(**{"roi": FULL_ROI, "n": 30, "mean_value": 100.0, "std_value": 2.0, **changes})
 
 
 def two_pass(values):
@@ -76,40 +78,29 @@ class TestCalibrate:
             model = calibrate_placement([constant_image(118)] * 10, FULL_ROI)
         assert model.n == 10
 
-    def test_single_sample_is_hard_error(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            calibrate_placement([constant_image(118)], FULL_ROI)
-
-    def test_roi_outside_sample_rejected(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            calibrate_placement([constant_image(118, 4, 4)] * 30, FULL_ROI)
+    test_single_sample_is_hard_error = rejects(
+        "at least 2", lambda: calibrate_placement([constant_image(118)], FULL_ROI)
+    )
+    test_roi_outside_sample_rejected = rejects(
+        "does not fit", lambda: calibrate_placement([constant_image(118, 4, 4)] * 30, FULL_ROI)
+    )
 
 
 class TestVerify:
     def test_inside_band(self):
-        model = PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=2.0)
-        verdict = verify_value(103.9, model)
+        verdict = verify_value(103.9, sample_model())
         assert verdict.correct
         assert verdict.deviation == pytest.approx(3.9, abs=1e-9)
         assert verdict.threshold == pytest.approx(3.92, abs=1e-12)
 
     def test_just_outside_band(self):
-        model = PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=2.0)
-        assert not verify_value(103.93, model).correct
+        assert not verify_value(103.93, sample_model()).correct
 
     def test_epsilon_floor_for_zero_variance(self):
-        model = PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=0.0)
+        model = sample_model(std_value=0.0)
         verdict = verify_value(100.3, model)
         assert verdict.correct
         assert verdict.threshold == 0.5
-
-    def test_boundary_is_inclusive(self):
-        # mean 0 makes deviation == value exactly, so the boundary is hit bit-for-bit
-        model = PlacementModel(roi=FULL_ROI, n=30, mean_value=0.0, std_value=2.0)
-        at_edge = verify_value(model.threshold, model)
-        assert at_edge.correct
-        assert at_edge.deviation == at_edge.threshold
-        assert not verify_value(model.threshold + 1e-9, model).correct
 
     def test_verdict_symmetric_about_mean(self):
         model = PlacementModel(roi=FULL_ROI, n=30, mean_value=128.0, std_value=1.5)
@@ -126,7 +117,7 @@ class TestVerify:
                 assert verify_value(closer, model).correct
 
     def test_verify_placement_crops_model_roi(self):
-        model = PlacementModel(roi=Rect(0, 0, 4, 4), n=30, mean_value=100.0, std_value=2.0)
+        model = sample_model(roi=Rect(0, 0, 4, 4))
         ok = verify_placement(constant_image(103, 4, 4), model)
         assert ok.correct and ok.value == 103.0
         ng = verify_placement(constant_image(104, 4, 4), model)
@@ -141,13 +132,13 @@ class TestVerify:
     def test_value_bit_identical_to_histogram_oracle(self, roi, margin, data):
         shape = (roi.y + roi.h + margin[1], roi.x + roi.w + margin[0])
         image = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
-        model = PlacementModel(roi=roi, n=30, mean_value=100.0, std_value=2.0)
+        model = sample_model(roi=roi)
         value = verify_placement(image, model).value
         assert type(value) is float
         assert value == mean_intensity(histogram(crop(image, roi)))
 
     def test_depends_only_on_roi_pixels(self):
-        model = PlacementModel(roi=Rect(0, 0, 4, 4), n=30, mean_value=100.0, std_value=2.0)
+        model = sample_model(roi=Rect(0, 0, 4, 4))
         inside = np.full((8, 8), 101, dtype=np.uint8)
         altered = inside.copy()
         altered[4:, :] = 255
@@ -156,29 +147,14 @@ class TestVerify:
             GrayImage(altered), model
         )
 
-    def test_non_finite_value_rejected(self):
-        model = PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=2.0)
-        with pytest.raises(ValueError, match="finite"):
-            verify_value(float("nan"), model)
+    test_non_finite_value_rejected = rejects("finite", lambda: verify_value(float("nan"), sample_model()))
 
 
 class TestModelInvariants:
-    def test_rejects_tiny_n(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            PlacementModel(roi=FULL_ROI, n=1, mean_value=100.0, std_value=2.0)
-
-    def test_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=-1.0)
-
-    def test_rejects_out_of_range_mean(self):
-        with pytest.raises(ValueError):
-            PlacementModel(roi=FULL_ROI, n=30, mean_value=300.0, std_value=2.0)
-
-    def test_rejects_non_positive_z(self):
-        with pytest.raises(ValueError):
-            PlacementModel(roi=FULL_ROI, n=30, mean_value=100.0, std_value=2.0, z=0.0)
-
+    test_rejects_tiny_n = rejects("at least 2", lambda: sample_model(n=1))
+    test_rejects_negative_std = rejects(None, lambda: sample_model(std_value=-1.0))
+    test_rejects_out_of_range_mean = rejects(None, lambda: sample_model(mean_value=300.0))
+    test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
 
     def test_roi_layout_is_not_a_field(self):
         def model():
@@ -196,17 +172,6 @@ class TestModelInvariants:
 
 
 class TestModelStore:
-    def test_roundtrip(self):
-        model = PlacementModel(
-            roi=Rect(3, 4, 11, 12),
-            n=30,
-            mean_value=118.73333333333333,
-            std_value=math.sqrt(2),
-            z=1.96,
-            eps_floor=0.5,
-        )
-        assert load_placement_model(save_placement_model(model)) == model
-
     def test_store_format_golden(self):
         model = PlacementModel(roi=Rect(1, 2, 3, 4), n=30, mean_value=118.0, std_value=2.0)
         assert save_placement_model(model).splitlines() == [
@@ -228,29 +193,21 @@ class TestModelStore:
             roi=Rect(0, 0, 4, 4), n=45, mean_value=117.25, std_value=1.5, z=2.0, eps_floor=0.25
         )
 
-    def test_version_mismatch(self):
-        with pytest.raises(ValueError, match="version"):
-            load_placement_model("TRAYSIGHT-PLACEMENT 9\nroi 0 0 4 4\n")
-
-    def test_wrong_magic(self):
-        with pytest.raises(ValueError, match="not a placement model store"):
-            load_placement_model("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\n")
-
-    def test_missing_line(self):
-        text = "TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\nn 30\nmean 118.0\nstd 2.0\nz 1.96\n"
-        with pytest.raises(ValueError, match="lines"):
-            load_placement_model(text)
-
-    def test_wrong_key_order(self):
-        text = (
+    test_missing_line = rejects(
+        "lines",
+        lambda: load_placement_model(
+            "TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\nn 30\nmean 118.0\nstd 2.0\nz 1.96\n"
+        ),
+    )
+    test_wrong_key_order = rejects(
+        "expected 'roi",
+        lambda: load_placement_model(
             "TRAYSIGHT-PLACEMENT 1\nn 30\nroi 0 0 4 4\nmean 118.0\nstd 2.0\nz 1.96\neps_floor 0.5\n"
-        )
-        with pytest.raises(ValueError, match="expected 'roi"):
-            load_placement_model(text)
-
-    def test_load_revalidates_invariants(self):
-        text = (
+        ),
+    )
+    test_load_revalidates_invariants = rejects(
+        "at least 2",
+        lambda: load_placement_model(
             "TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\nn 1\nmean 118.0\nstd 2.0\nz 1.96\neps_floor 0.5\n"
-        )
-        with pytest.raises(ValueError, match="at least 2"):
-            load_placement_model(text)
+        ),
+    )

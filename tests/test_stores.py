@@ -15,6 +15,7 @@ from traysight.presence import (
 from traysight.tray_grid import TrayLayout
 
 PRESENCE = (
+    "presence reference",
     save_presence_refs,
     load_presence_refs,
     PresenceReferenceSet(
@@ -22,6 +23,7 @@ PRESENCE = (
     ),
 )
 PLACEMENT = (
+    "placement model",
     save_placement_model,
     load_placement_model,
     PlacementModel(roi=Rect(1, 2, 3, 4), n=30, mean_value=118.0, std_value=2.0),
@@ -32,19 +34,21 @@ PLACEMENT = (
     "store, other", [(PRESENCE, PLACEMENT), (PLACEMENT, PRESENCE)], ids=["presence", "placement"]
 )
 def test_envelope(store, other):
-    save, load, sample = store
-    other_save, _, other_sample = other
+    kind, save, load, sample = store
+    _, other_save, _, other_sample = other
     text = save(sample)
     header, body = text.split("\n", 1)
     magic = header.split()[0]
+    other_text = other_save(other_sample)
     for broken, message in [
-        ("", "empty"),
-        (" \n\t\r\n\n", "empty"),
-        (other_save(other_sample), "not a .* store"),
-        (f"{magic} 2\n{body}", "version"),
+        ("", f"empty {kind} store"),
+        (" \n\t\r\n\n", f"empty {kind} store"),
+        (other_text, f"not a {kind} store (got {other_text.splitlines()[0]!r})"),
+        (f"{magic} 2\n{body}", f"unsupported {kind} store version '2'"),
     ]:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             load(broken)
+        assert str(info.value) == message
     assert load(text + "\n \n\t\n") == sample
     assert load(text.replace("\n", "\r\n")) == sample
 

@@ -1,8 +1,8 @@
 """Deterministic synthetic scenes: noise model, ground truth, manifests."""
 
 import numpy as np
-import pytest
 
+from helpers import rejects
 from traysight.imaging import crop, encode_p5, histogram
 from traysight.presence import calibrate_presence, inspect_tray
 from traysight.stats import mean_intensity
@@ -23,6 +23,10 @@ def spec_1x2(**overrides):
     )
     base.update(overrides)
     return SceneSpec(**base)
+
+
+def manifest():
+    return format_scene(spec_1x2())
 
 
 class TestGenerateTray:
@@ -90,23 +94,10 @@ class TestGenerateTray:
 
 
 class TestSceneSpecValidation:
-    def test_occupancy_length(self):
-        with pytest.raises(ValueError, match="occupancy"):
-            spec_1x2(occupancy=(True,))
-
-    def test_mu_range(self):
-        with pytest.raises(ValueError, match="mu_with"):
-            spec_1x2(mu_with=300.0)
-
-    def test_sigma_non_negative(self):
-        with pytest.raises(ValueError, match="sigma"):
-            spec_1x2(sigma=-1.0)
-
-    def test_seed_range(self):
-        with pytest.raises(ValueError, match="seed"):
-            spec_1x2(seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            spec_1x2(seed=2**64)
+    test_occupancy_length = rejects("occupancy", lambda: spec_1x2(occupancy=(True,)))
+    test_mu_range = rejects("mu_with", lambda: spec_1x2(mu_with=300.0))
+    test_sigma_non_negative = rejects("sigma", lambda: spec_1x2(sigma=-1.0))
+    test_seed_range = rejects("seed", lambda: spec_1x2(seed=-1), lambda: spec_1x2(seed=2**64))
 
 
 class TestSceneManifest:
@@ -143,21 +134,13 @@ class TestSceneManifest:
         assert spec.occupancy == (False, True)
         assert spec.sigma == 1.5
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown.*shine"):
-            parse_scene(format_scene(spec_1x2()) + "shine = 3\n")
-
-    def test_missing_key_rejected(self):
-        text = "\n".join(
-            line for line in format_scene(spec_1x2()).splitlines() if not line.startswith("seed")
-        )
-        with pytest.raises(ValueError, match="missing.*seed"):
-            parse_scene(text)
-
-    def test_bad_occupancy_chars(self):
-        with pytest.raises(ValueError, match="occupancy"):
-            parse_scene(format_scene(spec_1x2()).replace("occupancy = 10", "occupancy = 1x"))
-
-    def test_occupancy_length_mismatch(self):
-        with pytest.raises(ValueError, match="occupancy"):
-            parse_scene(format_scene(spec_1x2()).replace("occupancy = 10", "occupancy = 101"))
+    test_unknown_key_rejected = rejects("unknown.*shine", lambda: parse_scene(manifest() + "shine = 3\n"))
+    test_missing_key_rejected = rejects(
+        "missing.*seed", lambda: parse_scene(manifest().removesuffix("\nseed = 77\n"))
+    )
+    test_bad_occupancy_chars = rejects(
+        "occupancy", lambda: parse_scene(manifest().replace("occupancy = 10", "occupancy = 1x"))
+    )
+    test_occupancy_length_mismatch = rejects(
+        "occupancy", lambda: parse_scene(manifest().replace("occupancy = 10", "occupancy = 101"))
+    )

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import rejects
 from traysight import tray_grid
 from traysight.cli import BACKGROUND_COLOR, EMPTY_COLOR, OCCUPIED_COLOR, _render_map
 from traysight.imaging import GrayImage, Rect, crop, histogram
@@ -37,44 +38,20 @@ class TestParseLayout:
     def test_crlf_tolerated(self):
         assert parse_layout(LAYOUT_TEXT.replace("\n", "\r\n")) == layout_4x5()
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="slot_w 70 > pitch_x 60"):
-            parse_layout(LAYOUT_TEXT.replace("slot_w=50", "slot_w=70"))
-
-    def test_missing_key(self):
-        text = "\n".join(line for line in LAYOUT_TEXT.splitlines() if not line.startswith("rows"))
-        with pytest.raises(ValueError, match="missing.*rows"):
-            parse_layout(text)
-
-    def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown.*depth"):
-            parse_layout(LAYOUT_TEXT + "\ndepth=3")
-
-    def test_non_integer_value(self):
-        with pytest.raises(ValueError, match="rows"):
-            parse_layout(LAYOUT_TEXT.replace("rows=4", "rows=4.5"))
-
-    def test_duplicate_key(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_layout(LAYOUT_TEXT + "\nrows=4")
-
-    def test_line_without_equals(self):
-        with pytest.raises(ValueError, match="key = value"):
-            parse_layout("rows 4")
+    test_overlap_rejected = rejects(
+        "slot_w 70 > pitch_x 60", lambda: parse_layout(LAYOUT_TEXT.replace("slot_w=50", "slot_w=70"))
+    )
+    test_missing_key = rejects("missing.*rows", lambda: parse_layout(LAYOUT_TEXT.removeprefix("rows=4\n")))
+    test_unknown_key = rejects("unknown.*depth", lambda: parse_layout(LAYOUT_TEXT + "\ndepth=3"))
+    test_non_integer_value = rejects("rows", lambda: parse_layout(LAYOUT_TEXT.replace("rows=4", "rows=4.5")))
+    test_duplicate_key = rejects("duplicate", lambda: parse_layout(LAYOUT_TEXT + "\nrows=4"))
+    test_line_without_equals = rejects("key = value", lambda: parse_layout("rows 4"))
 
 
 class TestLayoutInvariants:
-    def test_rejects_zero_rows(self):
-        with pytest.raises(ValueError):
-            TrayLayout(0, 5, 10, 12, 60, 80, 50, 70)
-
-    def test_rejects_negative_origin(self):
-        with pytest.raises(ValueError):
-            TrayLayout(4, 5, -1, 12, 60, 80, 50, 70)
-
-    def test_rejects_vertical_overlap(self):
-        with pytest.raises(ValueError, match="slot_h"):
-            TrayLayout(4, 5, 10, 12, 60, 80, 50, 90)
+    test_rejects_zero_rows = rejects(None, lambda: TrayLayout(0, 5, 10, 12, 60, 80, 50, 70))
+    test_rejects_negative_origin = rejects(None, lambda: TrayLayout(4, 5, -1, 12, 60, 80, 50, 70))
+    test_rejects_vertical_overlap = rejects("slot_h", lambda: TrayLayout(4, 5, 10, 12, 60, 80, 50, 90))
 
     def test_slot_count(self):
         assert layout_4x5().slot_count == 20
@@ -87,11 +64,9 @@ class TestSlotRect:
     def test_second_row_first_col(self):
         assert slot_rect(layout_4x5(), 5) == Rect(10, 92, 50, 70)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            slot_rect(layout_4x5(), 20)
-        with pytest.raises(ValueError, match="out of range"):
-            slot_rect(layout_4x5(), -1)
+    test_out_of_range = rejects(
+        "out of range", lambda: slot_rect(layout_4x5(), 20), lambda: slot_rect(layout_4x5(), -1)
+    )
 
     def test_scan_order_is_row_major(self):
         layout = layout_4x5()
@@ -352,7 +327,7 @@ class TestSlotGrid:
         view ^= 0xFF  # flips every bit, so each slot pixel changes
         assert np.array_equal(pixels, expected)
 
-    def test_non_contiguous_array_rejected(self):
-        pixels = np.zeros((10, 20), dtype=np.uint8)[:, ::2]
-        with pytest.raises(ValueError):
-            slot_grid(pixels, TrayLayout(1, 1, 0, 0, 2, 2, 2, 2))
+    test_non_contiguous_array_rejected = rejects(
+        None,
+        lambda: slot_grid(np.zeros((10, 20), dtype=np.uint8)[:, ::2], TrayLayout(1, 1, 0, 0, 2, 2, 2, 2)),
+    )
