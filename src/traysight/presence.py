@@ -147,6 +147,9 @@ def inspect_tray(
     """
     if outlier_k <= 0 or not math.isfinite(outlier_k):
         raise ValueError(f"outlier_k must be finite and positive, got {outlier_k!r}")
+    # References lie in [0, 255], so no separation exceeds 255 and no threshold overflows.
+    if not math.isfinite(outlier_k * 255):
+        raise ValueError(f"outlier_k times a separation of 255 must be finite, got {outlier_k!r}")
     if refs.layout != layout:
         raise ValueError(
             "reference set was calibrated against a different layout: "

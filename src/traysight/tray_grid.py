@@ -3,9 +3,9 @@
 Slot indices run left to right within a row, rows top to bottom; that
 order fixes the occupancy bitstring everywhere else in the package. The
 feature path is ``slot_sums``: exact per-slot pixel sums, which ``slot_means``
-and the presence verdict divide by the slot area. A one-slot layout (the
-socket ROI) is summed in one reduction; a grid is summed band by band. The
-occupancy map and synthetic trays write through ``slot_grid``, a view of every slot.
+and the presence verdict divide by the slot area. It reads one view of the slot
+rows' bands: a one-slot layout (the socket ROI) sums it in one reduction, a grid
+band by band. The occupancy map and synthetic trays write through ``slot_grid``.
 ``LAYOUT_KEYS`` is ``TrayLayout``'s dataclass field order, so it pairs with
 ``TrayLayout.fields()`` wherever a layout is written out or read back by position.
 """
@@ -175,27 +175,24 @@ def _accumulator(pixels: int) -> type:
 def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     """Every slot's exact pixel sum, in slot-index order, as a 1-D unsigned array.
 
-    A one-slot layout (a socket ROI) is summed in one reduction over its
-    ``slot_grid`` view. A grid takes the band path: each slot row's ``slot_h``
-    image rows are summed across the grid's whole width, then each slot's
-    ``slot_w`` columns of those band sums, which keeps numpy's inner loops long.
-    That second stage is an einsum: ``sum(axis=2)`` over a few columns at a time
-    runs numpy's slow short-axis reduction. Each stage accumulates in the smallest
-    unsigned type that holds 255 times its pixel count, so no sum can wrap.
-    Raises ValueError unless the layout fits.
+    Both plans read one ``(rows, slot_h, span)`` view: each slot row's ``slot_h`` image rows
+    across the grid's whole width. A one-slot layout (a socket ROI) sums it in one reduction.
+    A grid sums each band's rows, then each slot's ``slot_w`` columns of those band sums, which
+    keeps numpy's inner loops long; that second stage is an einsum, as ``sum(axis=2)`` over a
+    few columns runs numpy's slow short-axis reduction. Each stage accumulates in the smallest
+    unsigned type that holds 255 times its pixel count, so no sum can wrap. Raises ValueError
+    unless the layout fits.
     """
     pixels = image.pixels
-    total = _accumulator(layout.slot_h * layout.slot_w)
-    if layout.slot_count == 1:
-        return slot_grid(pixels, layout).sum(axis=(2, 3), dtype=total).ravel()
     dy, dx = pixels.strides
     span = (layout.cols - 1) * layout.pitch_x + layout.slot_w
-    bands = _view(
-        pixels,
-        _origin(pixels, layout),
-        (layout.rows, layout.slot_h, span),
-        (layout.pitch_y * dy, dy, dx),
-    ).sum(axis=1, dtype=_accumulator(layout.slot_h))
+    rows = _view(
+        pixels, _origin(pixels, layout), (layout.rows, layout.slot_h, span), (layout.pitch_y * dy, dy, dx)
+    )
+    total = _accumulator(layout.slot_h * layout.slot_w)
+    if layout.slot_count == 1:
+        return rows.sum(axis=(1, 2), dtype=total)
+    bands = rows.sum(axis=1, dtype=_accumulator(layout.slot_h))
     band_y, band_x = bands.strides
     cells = _view(
         bands, 0, (layout.rows, layout.cols, layout.slot_w), (band_y, layout.pitch_x * band_x, band_x)

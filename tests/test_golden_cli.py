@@ -230,7 +230,7 @@ for k in ("0.25", "1", "4", "8"):
     edge = int(4 * float(k))
     outlier_case(f"outlier-k-{k}", k, (100 + edge, 101 + edge, 96 - edge, 95 - edge, 98, 100))
 outlier_case("outlier-k-default", None, (116, 117, 80, 79, 98, 100))
-for k in ("0.01", "1e-300", "1e300", "0", "-1", "nan", "inf", "-inf"):
+for k in ("0.01", "1e-300", "1e300", "1e308", "0", "-1", "nan", "inf", "-inf"):
     outlier_case(f"outlier-k-{k}", k, (101, 102, 95, 94, 98, 255))
 
 # Inputs that must fail with exit 2 and one error line. A repeated flag's last value wins.

@@ -144,6 +144,10 @@ class TestInspectTray:
         "outlier_k",
         lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=0.0),
     )
+    test_outlier_k_threshold_overflow = rejects(
+        "separation of 255 must be finite",
+        lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=1e308),
+    )
 
     def test_bits_ignore_pixels_outside_slots(self):
         layout = TrayLayout(1, 2, 2, 2, 10, 10, 6, 6)

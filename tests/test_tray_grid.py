@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import rejects
-from traysight import tray_grid
 from traysight.cli import BACKGROUND_COLOR, EMPTY_COLOR, OCCUPIED_COLOR, _render_map
 from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.presence import OccupancyResult
@@ -55,6 +54,14 @@ class TestLayoutInvariants:
 
     def test_slot_count(self):
         assert layout_4x5().slot_count == 20
+
+    def test_touching_slots_tile_without_overlap(self):
+        layout = TrayLayout(2, 2, 0, 0, 4, 4, 4, 4)  # slot_w == pitch_x, slot_h == pitch_y
+        cover = np.zeros((8, 8), dtype=int)
+        for i in range(layout.slot_count):
+            r = slot_rect(layout, i)
+            cover[r.y : r.y + r.h, r.x : r.x + r.w] += 1
+        assert (cover == 1).all()
 
 
 class TestSlotRect:
@@ -130,7 +137,8 @@ def layouts_with_images(draw):
 
 
 # All-255 and wide enough for one slot, or two side by side, of more than 2**32 // 255 px.
-SATURATED_ROWS = GrayImage(np.full((2, 16_843_010), 255, np.uint8))
+# Built over bytes, which GrayImage aliases instead of copying.
+SATURATED_ROWS = GrayImage(np.frombuffer(b"\xff" * (2 * 16_843_010), np.uint8).reshape(2, -1))
 
 
 # Cases both slot-sum properties check before any drawn one.
@@ -146,10 +154,7 @@ SUM_EXAMPLES = [
     (TrayLayout(2, 1, 0, 0, 1, 259, 1, 258), GrayImage(np.full((517, 1), 255))),
     (TrayLayout(2, 2, 1, 1, 17, 17, 16, 16), GrayImage(np.full((34, 34), 255))),
     (TrayLayout(2, 2, 1, 1, 17, 17, 17, 16), GrayImage(np.full((34, 35), 255))),
-    (
-        TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1),
-        GrayImage(np.full((1, 16_843_010), 255, np.uint8)),
-    ),
+    (TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1), GrayImage(SATURATED_ROWS.pixels[:1])),
     # The same limits for one slot, summed in one reduction: areas 257 and 258 put
     # its sum at and past the uint16 limit, areas 16,843,009 and 16,843,010 at and
     # past the uint32 limit. Two slots past the uint32 limit keep the band path there,
@@ -200,12 +205,14 @@ class TestSlotMeans:
         ids=str,
     )
     def test_one_reduction_for_one_slot_band_path_for_grids(self, layout, monkeypatch):
-        # A grid summed in one 4-D reduction gets the same sums, several times slower.
+        # The same sums either way: a grid summed in one reduction is several times
+        # slower, and a one-slot layout through the cell-stage einsum about twice as slow.
         calls = []
-        monkeypatch.setattr(tray_grid, "slot_grid", lambda *args: calls.append(args) or slot_grid(*args))
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a) or einsum(*a, **kw))
         image = fitted_image(layout, 1, 1)
         assert slot_means(image, layout) == oracle_means(image, layout)
-        assert len(calls) == (layout.slot_count == 1)
+        assert bool(calls) == (layout.slot_count > 1)
 
     def test_row_major_python_floats(self):
         layout = TrayLayout(2, 3, 1, 1, 4, 4, 2, 2)
