@@ -61,7 +61,7 @@ class PlacementModel:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"model needs at least 2 calibration samples, got {self.n}")
-        if not math.isfinite(self.mean_value) or not 0 <= self.mean_value <= 255:
+        if not 0 <= self.mean_value <= 255:  # NaN and ±inf fail it too
             raise ValueError(f"mean_value {self.mean_value!r} outside [0, 255]")
         if not math.isfinite(self.std_value) or self.std_value < 0:
             raise ValueError(f"std_value must be finite and non-negative, got {self.std_value!r}")

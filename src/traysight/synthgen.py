@@ -51,7 +51,7 @@ class SceneSpec:
             )
         for name in ("mu_with", "mu_without", "background"):
             value = getattr(self, name)
-            if not math.isfinite(value) or not 0 <= value <= 255:
+            if not 0 <= value <= 255:  # NaN and ±inf fail it too
                 raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")

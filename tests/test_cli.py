@@ -1,26 +1,24 @@
 """End-to-end CLI behavior: verdict lines, exit codes, stdout purity.
 
 New tests take their input files from the ``inputs`` fixture and call the CLI
-in process through ``run``; ``run_cli`` starts it in a new process.
+in process through ``helpers.run``; ``run_cli`` starts it in a new process.
 """
 
 import contextlib
 import dataclasses
 import gc
-import io
-import json
 import os
 import re
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import SRC, run, run_python
 from traysight import synthgen
 from traysight.cli import main
 from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
@@ -28,7 +26,6 @@ from traysight.placement import PlacementModel, save_placement_model
 from traysight.synthgen import SceneSpec, format_scene, generate_tray
 from traysight.tray_grid import TrayLayout
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 LAYOUT = TrayLayout(4, 5, 2, 2, 12, 12, 10, 10)
 LAYOUT_TEXT = (
     "rows = 4\ncols = 5\norigin_x = 2\norigin_y = 2\n"
@@ -36,14 +33,6 @@ LAYOUT_TEXT = (
 )
 SCENE = SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)
 ROI = Rect(1, 1, 8, 8)  # the socket samples' ROI
-
-
-def run(*argv):
-    """Call ``main`` in process; return its exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
 
 
 def flags(options):
@@ -428,9 +417,7 @@ def test_record_commands_import_neither_synthgen_nor_evaluation(working_options)
         "loaded = sorted(m for m in sys.modules if m.startswith('traysight'))\n"
         "print(json.dumps([codes, loaded, gc.get_freeze_count()]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
-    codes, loaded, frozen = json.loads(proc.stdout.splitlines()[-1])
+    codes, loaded, frozen = run_python(script)
     assert codes == [0, 0]
     assert frozen > 0
     assert "traysight.presence" in loaded and "traysight.placement" in loaded

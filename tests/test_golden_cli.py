@@ -1,7 +1,7 @@
 """Golden CLI corpus: everything the subcommands write, pinned by one sha256 per case.
 
 Each case writes its input files, runs one or more subcommands in process
-through ``cli.main`` and hashes, step by step, the argv, the exit code, stdout
+through ``helpers.run`` and hashes, step by step, the argv, the exit code, stdout
 and stderr (the case's directory masked as ``<tmp>``), then every file the
 steps wrote: the presence and placement stores and the ``--map`` images.
 ``golden_cli.json`` holds the digests.
@@ -19,9 +19,7 @@ intended behaviour change, and list each changed case in CHANGES.md:
 rewrites the file and prints the name of every case whose digest changed.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import tempfile
 from pathlib import Path
@@ -29,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from traysight.cli import main
+from helpers import run
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 LAYOUT_KEYS = ("rows", "cols", "origin_x", "origin_y", "pitch_x", "pitch_y", "slot_w", "slot_h")
@@ -398,10 +396,8 @@ def run_case(name: str, root: Path) -> tuple[str, str]:
 
     for argv in steps:
         resolved = [str(root / arg) if arg.startswith(("in/", "out/")) else arg for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(resolved)
-        streams = [s.getvalue().replace(str(root), "<tmp>") for s in (out, err)]
+        code, out, err = run(*resolved)
+        streams = [s.replace(str(root), "<tmp>") for s in (out, err)]
         for field in (" ".join(argv), str(code), *streams):
             feed(field.encode())
         transcript.append(f"$ {' '.join(argv)}\n-> {code}\nstdout:\n{streams[0]}stderr:\n{streams[1]}")

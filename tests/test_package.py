@@ -1,30 +1,15 @@
 """The package import: its BLAS thread cap, its lazily loaded names and its untouched GC."""
 
 import importlib
-import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 import traysight
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 LINUX_TASKS = Path("/proc/self/task")
-
-
-def run_python(script, **extra_env):
-    """Run ``script`` in a fresh interpreter with no BLAS thread variable set
-    except ``extra_env``, and return the JSON value its last line prints."""
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(extra_env, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 needs_proc = pytest.mark.skipif(not LINUX_TASKS.is_dir(), reason="no /proc/self/task")

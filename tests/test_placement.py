@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import constant_image, rejects
-from traysight.imaging import GrayImage, Rect, crop, histogram
+from helpers import constant_image, paper_means, rejects
+from traysight.imaging import GrayImage, Rect
 from traysight.placement import (
     PlacementModel,
     UndersampledWarning,
@@ -20,7 +20,7 @@ from traysight.placement import (
     verify_placement,
     verify_value,
 )
-from traysight.stats import mean_intensity
+from traysight.stats import sample_mean, sample_std
 from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout
 
@@ -31,12 +31,6 @@ FULL_ROI = Rect(0, 0, 8, 8)
 def sample_model(**changes):
     """The model on FULL_ROI from 30 samples of mean 100 and std 2, with ``changes`` applied."""
     return PlacementModel(**{"roi": FULL_ROI, "n": 30, "mean_value": 100.0, "std_value": 2.0, **changes})
-
-
-def two_pass(values):
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
 
 
 class TestCalibrate:
@@ -64,14 +58,9 @@ class TestCalibrate:
             generate_tray(SceneSpec(layout, (True,), 118.0, 118.0, 2.0, 60.0, seed))[0]
             for seed in range(55, 85)
         ]
-        model = calibrate_placement(samples, roi)
-        values = [
-            float(img.pixels[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w].mean())
-            for img in samples
-        ]
-        mean, std = two_pass(values)
-        assert model.mean_value == pytest.approx(mean, abs=1e-9)
-        assert model.std_value == pytest.approx(std, abs=1e-9)
+        values = [paper_means(image, layout)[0] for image in samples]
+        oracle = PlacementModel(roi, len(values), sample_mean(values), sample_std(values))
+        assert calibrate_placement(samples, roi) == oracle
 
     def test_under_sampled_warns_but_builds(self):
         with pytest.warns(UndersampledWarning, match="n=10"):
@@ -135,7 +124,7 @@ class TestVerify:
         model = sample_model(roi=roi)
         value = verify_placement(image, model).value
         assert type(value) is float
-        assert value == mean_intensity(histogram(crop(image, roi)))
+        assert [value] == paper_means(image, TrayLayout(1, 1, roi.x, roi.y, roi.w, roi.h, roi.w, roi.h))
 
     def test_depends_only_on_roi_pixels(self):
         model = sample_model(roi=Rect(0, 0, 4, 4))
@@ -154,6 +143,7 @@ class TestModelInvariants:
     test_rejects_tiny_n = rejects("at least 2", lambda: sample_model(n=1))
     test_rejects_negative_std = rejects(None, lambda: sample_model(std_value=-1.0))
     test_rejects_out_of_range_mean = rejects(None, lambda: sample_model(mean_value=300.0))
+    test_rejects_int_beyond_float_mean = rejects("outside", lambda: sample_model(mean_value=10**400))
     test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
 
     def test_roi_layout_is_not_a_field(self):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import constant_image, rejects
-from traysight.imaging import GrayImage, crop, histogram
+from helpers import constant_image, paper_means, rejects
+from traysight.imaging import GrayImage
 from traysight.presence import (
     OccupancyResult,
     PresenceReferenceSet,
@@ -20,7 +20,6 @@ from traysight.presence import (
     load_presence_refs,
     save_presence_refs,
 )
-from traysight.stats import mean_intensity
 from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout, slot_rect
 
@@ -68,13 +67,8 @@ class TestCalibrate:
         without_img, _ = generate_tray(
             SceneSpec(layout, (False,) * 12, 150.0, 60.0, 5.0, 90.0, seed=202)
         )
-        refs = calibrate_presence(with_img, without_img, layout)
-        for i, ref in enumerate(refs.slot_refs):
-            r = slot_rect(layout, i)
-            with_mean = float(with_img.pixels[r.y : r.y + r.h, r.x : r.x + r.w].mean())
-            without_mean = float(without_img.pixels[r.y : r.y + r.h, r.x : r.x + r.w].mean())
-            assert ref.value_with == pytest.approx(with_mean, abs=1e-9)
-            assert ref.value_without == pytest.approx(without_mean, abs=1e-9)
+        oracle = make_refs(layout, zip(paper_means(with_img, layout), paper_means(without_img, layout)))
+        assert calibrate_presence(with_img, without_img, layout) == oracle
 
 
 class TestClassifySlot:
@@ -186,10 +180,7 @@ class TestInspectTray:
         last = slot_rect(layout, layout.slot_count - 1)
         shape = (last.y + last.h + overhang, last.x + last.w + overhang)
         image = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
-        readings = [
-            mean_intensity(histogram(crop(image, slot_rect(layout, i))))
-            for i in range(layout.slot_count)
-        ]
+        readings = paper_means(image, layout)
         pairs = []
         for u in readings:
             d = data.draw(st.integers(1, 64 * 64)) / 64

@@ -2,10 +2,9 @@
 
 import numpy as np
 
-from helpers import rejects
-from traysight.imaging import crop, encode_p5, histogram
+from helpers import paper_means, rejects
+from traysight.imaging import encode_p5
 from traysight.presence import calibrate_presence, inspect_tray
-from traysight.stats import mean_intensity
 from traysight.synthgen import SceneSpec, format_scene, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout, slot_rect
 
@@ -35,9 +34,7 @@ class TestGenerateTray:
         spec = SceneSpec(layout, (True,) * 4, 120.4, 40.0, 0.0, 70.0, seed=1)
         image, truth = generate_tray(spec)
         assert truth == (True,) * 4
-        for i in range(4):
-            roi_mean = mean_intensity(histogram(crop(image, slot_rect(layout, i))))
-            assert roi_mean == 120.0  # round(120.4)
+        assert paper_means(image, layout) == [120.0] * 4  # round(120.4)
 
     def test_noiseless_mixed_occupancy(self):
         image, truth = generate_tray(spec_1x2())
@@ -59,9 +56,7 @@ class TestGenerateTray:
         spec = SceneSpec(layout, occupancy, 150.0, 60.0, 2.0, 90.0, seed=4242)
         image, _ = generate_tray(spec)
         bound = 5 * spec.sigma / np.sqrt(100)
-        for i, occupied in enumerate(occupancy):
-            r = slot_rect(layout, i)
-            roi_mean = float(image.pixels[r.y : r.y + r.h, r.x : r.x + r.w].mean())
+        for roi_mean, occupied in zip(paper_means(image, layout), occupancy):
             mu = spec.mu_with if occupied else spec.mu_without
             assert abs(roi_mean - mu) <= bound
 
@@ -96,6 +91,7 @@ class TestGenerateTray:
 class TestSceneSpecValidation:
     test_occupancy_length = rejects("occupancy", lambda: spec_1x2(occupancy=(True,)))
     test_mu_range = rejects("mu_with", lambda: spec_1x2(mu_with=300.0))
+    test_int_beyond_float_rejected = rejects("background", lambda: spec_1x2(background=10**400))
     test_sigma_non_negative = rejects("sigma", lambda: spec_1x2(sigma=-1.0))
     test_seed_range = rejects("seed", lambda: spec_1x2(seed=-1), lambda: spec_1x2(seed=2**64))
 

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import rejects
+from helpers import paper_means, rejects
 from traysight.cli import BACKGROUND_COLOR, EMPTY_COLOR, OCCUPIED_COLOR, _render_map
 from traysight.imaging import GrayImage, Rect, crop, histogram
 from traysight.presence import OccupancyResult
-from traysight.stats import mean_intensity
 from traysight.synthgen import SceneSpec, generate_tray
 from traysight.tray_grid import TrayLayout, parse_layout, slot_grid, slot_means, slot_rect, slot_sums
 
@@ -94,14 +93,6 @@ class TestSlotRect:
                 assert overlap_x * overlap_y == 0
 
 
-def oracle_means(image, layout):
-    """The paper's feature, slot by slot: crop -> histogram -> mean."""
-    return [
-        mean_intensity(histogram(crop(image, slot_rect(layout, i))))
-        for i in range(layout.slot_count)
-    ]
-
-
 def fitted_image(layout, margin_x, margin_y, seed=0):
     """Random image reaching ``margin`` pixels past the last slot's far edge."""
     last = slot_rect(layout, layout.slot_count - 1)
@@ -179,7 +170,7 @@ class TestSlotMeans:
     @sum_examples
     def test_bit_identical_to_histogram_oracle(self, case):
         layout, image = case
-        assert slot_means(image, layout) == oracle_means(image, layout)
+        assert slot_means(image, layout) == paper_means(image, layout)
 
     @settings(deadline=None)
     @given(layouts_with_images())
@@ -211,7 +202,7 @@ class TestSlotMeans:
         einsum = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a) or einsum(*a, **kw))
         image = fitted_image(layout, 1, 1)
-        assert slot_means(image, layout) == oracle_means(image, layout)
+        assert slot_means(image, layout) == paper_means(image, layout)
         assert bool(calls) == (layout.slot_count > 1)
 
     def test_row_major_python_floats(self):
