@@ -4,7 +4,9 @@ Calibration reads the socket ROI's mean intensity from repeated correct
 placements and records the mean and Bessel-corrected standard deviation of
 those per-image means. A new observation passes iff its deviation from the
 calibrated mean is at most z*std (inclusive), with a small epsilon floor so
-a zero-variance calibration does not reject everything.
+a zero-variance calibration does not reject everything. A reading lies in
+[0, 255], so a band of at least max(mean, 255 - mean) could never reject;
+such a model is refused.
 
 The band for a single observation is z*std, not z*std/sqrt(n). The latter
 is the half-width of the calibration mean's confidence interval, which would
@@ -69,6 +71,12 @@ class PlacementModel:
             raise ValueError(f"z must be finite and positive, got {self.z!r}")
         if not math.isfinite(self.eps_floor) or self.eps_floor < 0:
             raise ValueError(f"eps_floor must be finite and non-negative, got {self.eps_floor!r}")
+        # A reading lies in [0, 255], so a band reaching both ends would accept every frame.
+        if self.threshold >= max(self.mean_value, 255 - self.mean_value):
+            raise ValueError(
+                f"tolerance band {self.threshold!r} around mean {self.mean_value!r} covers [0, 255]; "
+                "the model could never reject"
+            )
         object.__setattr__(self, "_layout", _roi_layout(self.roi))  # verify_placement's layout; not a field
 
     @property

@@ -58,21 +58,21 @@ class PresenceReferenceSet:
             raise ValueError(
                 f"slot-count mismatch: layout expects {self.layout.slot_count} slots, got {len(refs)}"
             )
+        for i, ref in enumerate(refs):
+            w, o = ref.value_with, ref.value_without
+            # NaN and ±inf fail the range tests too.
+            if not 0 <= w <= 255:
+                raise ValueError(f"slot {i}: with reference {w!r} outside [0, 255]")
+            if not 0 <= o <= 255:
+                raise ValueError(f"slot {i}: without reference {o!r} outside [0, 255]")
+            if w == o:
+                row, col = divmod(i, self.layout.cols)
+                raise ValueError(
+                    f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
+                    f"identical with/without references ({w!r}); the classes cannot be separated"
+                )
         with_ = np.array([ref.value_with for ref in refs])
         without = np.array([ref.value_without for ref in refs])
-        # NaN and ±inf fail the range test; only the first flagged slot builds a message.
-        valid = (0 <= with_) & (with_ <= 255) & (0 <= without) & (without <= 255) & (with_ != without)
-        if not valid.all():
-            i = int(valid.argmin())
-            for name, value in (("with", refs[i].value_with), ("without", refs[i].value_without)):
-                if not 0 <= value <= 255:
-                    raise ValueError(f"slot {i}: {name} reference {value!r} outside [0, 255]")
-            row, col = divmod(i, self.layout.cols)
-            raise ValueError(
-                f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
-                f"identical with/without references ({refs[i].value_with!r}); "
-                "the classes cannot be separated"
-            )
         # The arrays inspect_tray reads; not fields, so repr, eq, hash and the store ignore them.
         object.__setattr__(self, "_columns", (with_, without, np.abs(with_ - without)))
 

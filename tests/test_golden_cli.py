@@ -314,6 +314,12 @@ case("socket-verify-id-space", {"in/socket.pgm": pnm(np.full((4, 4), 118)),
                                                 b"std 2.0\nz 1.96\neps_floor 0.5\n"},
      ["verify", "--image", "in/socket.pgm", "--model", "in/model.txt", "--id", "A B"],
      ["verify", "--image", "in/socket.pgm", "--model", "in/model.txt", "--id", "A"])
+# A band that covers [0, 255] could never reject: calibrate writes no such model, verify loads none.
+placement("socket-band-covers-range", ROI4, [117, 118, 119], (), amp=0, calibrate=["--z", "1e308"])
+case("socket-verify-band-covers-range",
+     {"in/socket.pgm": pnm(np.zeros((4, 4))),
+      "in/model.txt": b"TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\nn 30\nmean 118.0\nstd 2.0\nz 1e308\neps_floor 0.5\n"},
+     ["verify", "--image", "in/socket.pgm", "--model", "in/model.txt", "--id", "S"])
 
 
 def zero_variance():

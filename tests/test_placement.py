@@ -145,6 +145,14 @@ class TestModelInvariants:
     test_rejects_out_of_range_mean = rejects(None, lambda: sample_model(mean_value=300.0))
     test_rejects_int_beyond_float_mean = rejects("outside", lambda: sample_model(mean_value=10**400))
     test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
+    # mean 100 reaches 155 levels to 255, so any band of 155 or more accepts every frame.
+    test_rejects_huge_finite_band = rejects(
+        r"^tolerance band 2e\+300 around mean 100\.0 covers", lambda: sample_model(z=1e300)
+    )
+    test_rejects_band_overflowing_to_inf = rejects(r"^tolerance band inf ", lambda: sample_model(z=1e308))
+    test_rejects_eps_floor_at_reach = rejects(
+        r"^tolerance band 155\.0 ", lambda: sample_model(std_value=0.0, eps_floor=155.0)
+    )
 
     def test_roi_layout_is_not_a_field(self):
         def model():

@@ -286,10 +286,36 @@ class TestReferenceStore:
     )
 
 
+def one_slot_refs(value_with, value_without):
+    return make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [(value_with, value_without)])
+
+
 class TestReferenceSetInvariants:
-    test_out_of_range_value_rejected = rejects(
-        r"\[0, 255\]", lambda: make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [(256.0, 40.0)])
+    test_out_of_range_value_rejected = rejects(r"\[0, 255\]", lambda: one_slot_refs(256.0, 40.0))
+    test_nan_with_rejected = rejects(
+        r"^slot 0: with reference nan outside", lambda: one_slot_refs(math.nan, 40.0)
     )
+    test_non_finite_without_rejected = rejects(
+        r"^slot 0: without reference (inf|nan) outside",
+        lambda: one_slot_refs(120.0, math.inf),
+        lambda: one_slot_refs(120.0, math.nan),
+    )
+    test_both_out_of_range_reports_with = rejects(
+        r"^slot 0: with reference -1\.0 outside", lambda: one_slot_refs(-1.0, 300.0)
+    )
+    test_int_beyond_float_rejected = rejects(
+        r"^slot 0: with reference 10+ outside", lambda: one_slot_refs(10**400, 40.0)
+    )
+    test_first_failing_slot_wins = rejects(
+        r"^degenerate calibration: slot 1 \(row 1, col 2\)",
+        lambda: make_refs(small_layout(), [(120.0, 40.0), (70.0, 70.0), (300.0, 40.0)] + [(120.0, 40.0)] * 3),
+    )
+    test_non_numeric_reference_is_a_type_error = rejects(
+        None, lambda: one_slot_refs("1.5", 40.0), error=TypeError
+    )
+
+    def test_range_ends_accepted(self):
+        make_refs(TrayLayout(1, 2, 0, 0, 4, 4, 4, 4), [(255.0, 0.0), (0.0, 255.0)])
 
     def test_wrong_length_message(self):
         with pytest.raises(ValueError) as info:
@@ -303,73 +329,3 @@ class TestReferenceSetInvariants:
         inspect_tray(constant_image(90, 40, 40), layout, refs)
         assert (repr(refs), hash(refs), save_presence_refs(refs)) == before
         assert refs == make_refs(layout, [(120.0, 40.0)] * 6)
-
-
-def per_slot_error(layout, slot_refs):
-    """The reference-set check slot by slot: the first failing slot's ValueError text, or None."""
-    for i, ref in enumerate(slot_refs):
-        for name, value in (("with", ref.value_with), ("without", ref.value_without)):
-            if not math.isfinite(value) or not 0 <= value <= 255:
-                return f"slot {i}: {name} reference {value!r} outside [0, 255]"
-        if ref.value_with == ref.value_without:
-            row, col = divmod(i, layout.cols)
-            return (
-                f"degenerate calibration: slot {i} (row {row + 1}, col {col + 1}) has "
-                f"identical with/without references ({ref.value_with!r}); "
-                "the classes cannot be separated"
-            )
-    return None
-
-
-in_range = st.integers(0, 255) | st.floats(0, 255)
-out_of_range = (
-    st.sampled_from([math.nan, math.inf, -math.inf])
-    | st.integers(-10**6, -1)
-    | st.integers(256, 10**6)
-    | st.floats(max_value=0, exclude_max=True)
-    | st.floats(min_value=255, exclude_min=True)
-)
-
-
-@st.composite
-def faulty_reference_sets(draw):
-    """Up to 30 slots of in-range pairs, with up to 4 faults: values out of range or an equal pair."""
-    layout = TrayLayout(draw(st.integers(1, 5)), draw(st.integers(1, 6)), 0, 0, 1, 1, 1, 1)
-    n = layout.slot_count
-    pairs = [list(pair) for pair in draw(st.lists(st.tuples(in_range, in_range), min_size=n, max_size=n))]
-    faults = st.tuples(st.integers(0, n - 1), st.sampled_from(["with", "without", "both", "equal"]), out_of_range)
-    for i, kind, value in draw(st.lists(faults, max_size=4)):
-        if kind == "equal":
-            pairs[i][1] = pairs[i][0]
-        elif kind == "both":
-            pairs[i] = [value, value]
-        else:
-            pairs[i][kind == "without"] = value
-    return layout, tuple(SlotReference(w, o) for w, o in pairs)
-
-
-class TestVectorCheck:
-    """PresenceReferenceSet screens all slots at once and words the error as a per-slot check would."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(case=faulty_reference_sets())
-    def test_same_error_text_as_a_per_slot_check(self, case):
-        layout, slot_refs = case
-        expected = per_slot_error(layout, slot_refs)
-        if expected is not None:
-            with pytest.raises(ValueError) as info:
-                PresenceReferenceSet(layout, slot_refs)
-            assert str(info.value) == expected
-            return
-        with_, without, separation = PresenceReferenceSet(layout, slot_refs)._columns
-        assert np.array_equal(with_, [ref.value_with for ref in slot_refs])
-        assert np.array_equal(without, [ref.value_without for ref in slot_refs])
-        assert np.array_equal(separation, [abs(ref.value_with - ref.value_without) for ref in slot_refs])
-
-    test_first_failing_slot_wins = rejects(
-        r"^degenerate calibration: slot 1 \(row 1, col 2\)",
-        lambda: make_refs(small_layout(), [(120.0, 40.0), (70.0, 70.0), (300.0, 40.0)] + [(120.0, 40.0)] * 3),
-    )
-    test_non_numeric_reference_is_a_type_error = rejects(
-        None, lambda: make_refs(TrayLayout(1, 1, 0, 0, 4, 4, 4, 4), [("1.5", 40.0)]), error=TypeError
-    )

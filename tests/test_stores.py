@@ -79,15 +79,16 @@ reference_sets = layouts().flatmap(
         max_size=layout.slot_count,
     ).map(lambda refs: PresenceReferenceSet(layout, tuple(refs)))
 )
-non_negative = st.floats(0, 1e300)
+# z * std <= 126 and eps_floor <= 127 keep every band below 127.5, the least reach
+# of a mean in [0, 255], so every drawn model can reject.
 models = st.builds(
     PlacementModel,
     roi=st.builds(Rect, *(st.integers(0, 10**6),) * 2, *(st.integers(1, 10**6),) * 2),
     n=st.integers(2, 10**9),
     mean_value=reals,
-    std_value=non_negative,
-    z=st.floats(0, 1e300, exclude_min=True),
-    eps_floor=non_negative,
+    std_value=st.floats(0, 63),
+    z=st.floats(0, 2, exclude_min=True),
+    eps_floor=st.floats(0, 127),
 )
 
 
