@@ -1,4 +1,4 @@
-"""Text formats shared by the calibration stores and scene manifests.
+"""Text formats shared by the calibration stores.
 
 A store (the presence references, the placement model) is a ``<MAGIC> <version>``
 header line, then one ``<key> <value>...`` record per line, ending in one

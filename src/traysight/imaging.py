@@ -20,10 +20,6 @@ import numpy as np
 __all__ = [
     "GrayImage",
     "Rect",
-    "PnmError",
-    "PnmHeaderError",
-    "PnmMaxvalError",
-    "PnmDataError",
     "to_gray",
     "crop",
     "histogram",
@@ -34,21 +30,6 @@ __all__ = [
     "save_gray_image",
     "save_color_image",
 ]
-
-class PnmError(ValueError):
-    """Malformed portable-anymap (P5/P6) data."""
-
-
-class PnmHeaderError(PnmError):
-    """Header is not a valid binary PGM/PPM header."""
-
-
-class PnmMaxvalError(PnmError):
-    """Header maxval is not 255."""
-
-
-class PnmDataError(PnmError):
-    """Pixel payload is shorter than the header promises."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -145,32 +126,33 @@ def decode_pnm(data: bytes) -> GrayImage:
     """Decode binary PGM (P5) or PPM (P6) bytes; P6 is converted via :func:`to_gray`."""
     magic = bytes(data[:2])
     if magic not in (b"P5", b"P6"):
-        raise PnmHeaderError(f"not a binary PGM/PPM (magic {magic!r})")
+        raise ValueError(f"not a binary PGM/PPM (magic {magic!r})")
     header = _HEADER.match(data, 2)
     width, height, maxval = header.groups()
     if not (width and height and maxval):
         first = (width, height, maxval).index(b"")
         what = ("width", "height", "maxval")[first]
-        raise PnmHeaderError(f"expected integer {what} at byte offset {header.start(first + 1)}")
+        raise ValueError(f"expected integer {what} at byte offset {header.start(first + 1)}")
     width, height, maxval = int(width), int(height), int(maxval)
     pos = header.end()
     if width < 1 or height < 1:
-        raise PnmHeaderError(f"bad image dimensions {width}x{height}")
+        raise ValueError(f"bad image dimensions {width}x{height}")
     if maxval != 255:
-        raise PnmMaxvalError(f"unsupported maxval {maxval} (only 255 is accepted)")
+        raise ValueError(f"unsupported maxval {maxval} (only 255 is accepted)")
     if pos >= len(data) or data[pos] not in _SPACE:
-        raise PnmHeaderError("missing whitespace separator after maxval")
+        raise ValueError("missing whitespace separator after maxval")
     pos += 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     have = len(data) - pos
     if have < need:
-        raise PnmDataError(f"pixel data truncated: need {need} bytes, have {have}")
+        raise ValueError(f"pixel data truncated: need {need} bytes, have {have}")
     raw = np.frombuffer(data, np.uint8, need, pos)
     if channels == 1:
         return GrayImage(raw.reshape(height, width))
-    rgb = raw.reshape(height, width, 3).astype(np.float64)
-    # Same expression as to_gray so scalar and vector paths agree bit-for-bit.
+    rgb = raw.reshape(height, width, 3)
+    # Same expression as to_gray so scalar and vector paths agree bit-for-bit: a uint8
+    # channel times a Python float is float64 (under NEP 50 and numpy 1.x alike).
     luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
     gray = np.minimum(np.floor(luma + 0.5), 255.0).astype(np.uint8)
     return GrayImage(gray)

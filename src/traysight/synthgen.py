@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import format_decimal
 from .imaging import GrayImage
 from .tray_grid import LAYOUT_KEYS, TrayLayout, parse_key_values, slot_grid
 
@@ -22,12 +21,11 @@ __all__ = [
     "SceneSpec",
     "generate_tray",
     "parse_scene",
-    "format_scene",
 ]
 
-_SCENE_FLOAT_KEYS = ("mu_with", "mu_without", "sigma", "background")
 _SCENE_TYPES = {**dict.fromkeys(LAYOUT_KEYS, int), "occupancy": str,
-                **dict.fromkeys(_SCENE_FLOAT_KEYS, float), "seed": int}
+                **dict.fromkeys(("mu_with", "mu_without", "sigma", "background"), float),
+                "seed": int}
 
 
 @dataclass(frozen=True)
@@ -71,16 +69,6 @@ def generate_tray(spec: SceneSpec) -> tuple[GrayImage, tuple[bool, ...]]:
     # A C-order draw takes the slots in index order, so a per-slot loop draws the same bytes.
     slots[...] = rng.normal(mu, spec.sigma, size=slots.shape)
     return GrayImage(np.clip(np.rint(canvas), 0, 255).astype(np.uint8)), spec.occupancy
-
-
-def format_scene(spec: SceneSpec) -> str:
-    """Scene manifest in the layout config's key=value dialect."""
-    lines = [f"{key} = {value}" for key, value in zip(LAYOUT_KEYS, spec.layout.fields())]
-    lines.append("occupancy = " + "".join("1" if b else "0" for b in spec.occupancy))
-    for key in _SCENE_FLOAT_KEYS:
-        lines.append(f"{key} = {format_decimal(getattr(spec, key))}")
-    lines.append(f"seed = {spec.seed}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_scene(text: str) -> SceneSpec:

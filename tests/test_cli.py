@@ -23,7 +23,7 @@ from traysight import synthgen
 from traysight.cli import main
 from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
 from traysight.placement import PlacementModel, save_placement_model
-from traysight.synthgen import SceneSpec, format_scene, generate_tray
+from traysight.synthgen import SceneSpec, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout
 
 LAYOUT = TrayLayout(4, 5, 2, 2, 12, 12, 10, 10)
@@ -31,7 +31,11 @@ LAYOUT_TEXT = (
     "rows = 4\ncols = 5\norigin_x = 2\norigin_y = 2\n"
     "pitch_x = 12\npitch_y = 12\nslot_w = 10\nslot_h = 10\n"
 )
-SCENE = SceneSpec(LAYOUT, (True, False) * 10, 130.0, 50.0, 2.0, 85.0, 33)
+SCENE_TEXT = LAYOUT_TEXT + (
+    "occupancy = 10101010101010101010\n"
+    "mu_with = 130\nmu_without = 50\nsigma = 2\nbackground = 85\nseed = 33\n"
+)
+SCENE = parse_scene(SCENE_TEXT)
 ROI = Rect(1, 1, 8, 8)  # the socket samples' ROI
 
 
@@ -86,7 +90,7 @@ def inputs(tmp_path_factory):
     )
     files.layout.write_text(LAYOUT_TEXT)
     files.labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
-    files.scene.write_text(format_scene(SCENE))
+    files.scene.write_text(SCENE_TEXT)
     files.out.mkdir()
     code, _, _ = run("calibrate-presence", "--with", files.loaded, "--without", files.empty,
                      "--layout", files.layout, "--out", files.refs)
@@ -521,7 +525,7 @@ class TestSynth:
     @pytest.fixture
     def equal_means(self, tmp_path):
         path = tmp_path / "scene.cfg"
-        path.write_text(format_scene(dataclasses.replace(SCENE, mu_without=SCENE.mu_with)))
+        path.write_text(SCENE_TEXT.replace("mu_without = 50", "mu_without = 130"))
         return path
 
     def test_writes_image_and_truth(self, inputs, tmp_path):

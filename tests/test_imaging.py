@@ -1,5 +1,7 @@
 """Codec, grayscale conversion, cropping, and histogram behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -8,9 +10,6 @@ from hypothesis import strategies as st
 from helpers import rejects
 from traysight.imaging import (
     GrayImage,
-    PnmDataError,
-    PnmHeaderError,
-    PnmMaxvalError,
     Rect,
     crop,
     decode_pnm,
@@ -48,7 +47,7 @@ def _oracle_read_header_int(data, pos, what):
     while pos < len(data) and 0x30 <= data[pos] <= 0x39:
         pos += 1
     if start == pos:
-        raise PnmHeaderError(f"expected integer {what} at byte offset {start}")
+        raise ValueError(f"expected integer {what} at byte offset {start}")
     return int(data[start:pos]), pos
 
 
@@ -56,22 +55,22 @@ def oracle_decode_pnm(data):
     """decode_pnm with the byte-scanning header reader; P6 goes through scalar to_gray."""
     magic = bytes(data[:2])
     if magic not in (b"P5", b"P6"):
-        raise PnmHeaderError(f"not a binary PGM/PPM (magic {magic!r})")
+        raise ValueError(f"not a binary PGM/PPM (magic {magic!r})")
     width, pos = _oracle_read_header_int(data, 2, "width")
     height, pos = _oracle_read_header_int(data, pos, "height")
     maxval, pos = _oracle_read_header_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PnmHeaderError(f"bad image dimensions {width}x{height}")
+        raise ValueError(f"bad image dimensions {width}x{height}")
     if maxval != 255:
-        raise PnmMaxvalError(f"unsupported maxval {maxval} (only 255 is accepted)")
+        raise ValueError(f"unsupported maxval {maxval} (only 255 is accepted)")
     if pos >= len(data) or data[pos] not in _SPACE:
-        raise PnmHeaderError("missing whitespace separator after maxval")
+        raise ValueError("missing whitespace separator after maxval")
     pos += 1
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     have = len(data) - pos
     if have < need:
-        raise PnmDataError(f"pixel data truncated: need {need} bytes, have {have}")
+        raise ValueError(f"pixel data truncated: need {need} bytes, have {have}")
     payload = data[pos : pos + need]
     if channels == 1:
         return [list(payload[y * width : (y + 1) * width]) for y in range(height)]
@@ -264,14 +263,32 @@ class TestPnmCodec:
         expected = [[to_gray(*rgb[y, x]) for x in range(7)] for y in range(5)]
         assert img.pixels.tolist() == expected
 
-    test_truncated_payload = rejects(
-        "16 bytes, have 15", lambda: decode_pnm(b"P5\n4 4\n255\n" + bytes(15)), error=PnmDataError
-    )
-    test_bad_magic = rejects("magic", lambda: decode_pnm(b"P3\n1 1\n255\n0"), error=PnmHeaderError)
-    test_non_integer_header = rejects(
-        None, lambda: decode_pnm(b"P5\nx 2\n255\n" + bytes(4)), error=PnmHeaderError
-    )
-    test_zero_dimension = rejects("dimensions", lambda: decode_pnm(b"P5\n0 2\n255\n"), error=PnmHeaderError)
+    def test_p6_matches_float64_expression_on_every_rgb_triple(self):
+        # One 256x256 frame per red value: green down the rows, blue across the columns.
+        g, b = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8), indexing="ij")
+        for r in range(256):
+            rgb = np.stack([np.full_like(g, r), g, b], axis=-1)
+            f = rgb.astype(np.float64)
+            luma = 0.299 * f[..., 0] + 0.587 * f[..., 1] + 0.114 * f[..., 2]
+            expected = np.minimum(np.floor(luma + 0.5), 255.0).astype(np.uint8)
+            assert np.array_equal(decode_pnm(encode_p6(rgb)).pixels, expected), r
+
+    def test_p6_decode_peak_memory_per_pixel(self):
+        side = 1024
+        data = encode_p6(np.zeros((side, side, 3), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            decode_pnm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float64 luma and its temporaries; a float64 copy of the RGB payload adds 24 B/px.
+        assert peak < 32 * side * side
+
+    test_truncated_payload = rejects("16 bytes, have 15", lambda: decode_pnm(b"P5\n4 4\n255\n" + bytes(15)))
+    test_bad_magic = rejects("magic", lambda: decode_pnm(b"P3\n1 1\n255\n0"))
+    test_non_integer_header = rejects("width at byte offset 3", lambda: decode_pnm(b"P5\nx 2\n255\n" + bytes(4)))
+    test_zero_dimension = rejects("dimensions", lambda: decode_pnm(b"P5\n0 2\n255\n"))
     test_encode_p6_validates_input = rejects(
         None,
         lambda: encode_p6(np.zeros((2, 2), dtype=np.uint8)),
@@ -282,11 +299,11 @@ class TestPnmCodec:
         with pytest.raises(FileNotFoundError):
             load_gray_image(tmp_path / "nope.pgm")
 
-    def test_maxval_must_be_255(self):
-        with pytest.raises(PnmMaxvalError, match="254"):
-            decode_pnm(b"P5\n1 1\n254\n\x00")
-        with pytest.raises(PnmMaxvalError):
-            decode_pnm(b"P5\n1 1\n65535\n\x00\x00")
+    test_maxval_must_be_255 = rejects(
+        "unsupported maxval",
+        lambda: decode_pnm(b"P5\n1 1\n254\n\x00"),
+        lambda: decode_pnm(b"P5\n1 1\n65535\n\x00\x00"),
+    )
 
     def test_header_comments_tolerated(self):
         data = b"P5\n# made by hand\n2 1 # trailing comment\n255\n\x01\x02"

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,10 @@ class TestLazyNames:
             with pytest.raises(AttributeError, match=f"no attribute '{removed}'"):
                 getattr(traysight, removed)
         assert not hasattr(traysight, "no_such_name")
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(traysight.__path__)))
+def test_module_star_import_binds_its_all(module):
+    # A name left in a module's __all__ after its removal fails here; the package's
+    # own __all__ is TestLazyNames::test_star_import_binds_every_name.
+    exec(f"from traysight.{module} import *", {})

@@ -5,7 +5,7 @@ import numpy as np
 from helpers import paper_means, rejects
 from traysight.imaging import encode_p5
 from traysight.presence import calibrate_presence, inspect_tray
-from traysight.synthgen import SceneSpec, format_scene, generate_tray, parse_scene
+from traysight.synthgen import SceneSpec, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout, slot_rect
 
 
@@ -24,8 +24,11 @@ def spec_1x2(**overrides):
     return SceneSpec(**base)
 
 
-def manifest():
-    return format_scene(spec_1x2())
+MANIFEST = (
+    "rows = 1\ncols = 2\norigin_x = 2\norigin_y = 2\npitch_x = 10\npitch_y = 10\n"
+    "slot_w = 8\nslot_h = 8\noccupancy = 10\nmu_with = 120.000000\n"
+    "mu_without = 40.000000\nsigma = 0.000000\nbackground = 70.000000\nseed = 77\n"
+)
 
 
 class TestGenerateTray:
@@ -97,29 +100,6 @@ class TestSceneSpecValidation:
 
 
 class TestSceneManifest:
-    def test_roundtrip(self):
-        spec = spec_1x2(sigma=2.25, mu_with=119.875, seed=123456789)
-        assert parse_scene(format_scene(spec)) == spec
-
-    def test_golden_manifest(self):
-        text = format_scene(spec_1x2())
-        assert text.splitlines() == [
-            "rows = 1",
-            "cols = 2",
-            "origin_x = 2",
-            "origin_y = 2",
-            "pitch_x = 10",
-            "pitch_y = 10",
-            "slot_w = 8",
-            "slot_h = 8",
-            "occupancy = 10",
-            "mu_with = 120.000000",
-            "mu_without = 40.000000",
-            "sigma = 0.000000",
-            "background = 70.000000",
-            "seed = 77",
-        ]
-
     def test_hand_written_manifest(self):
         text = (
             "# demo scene\nrows=1\ncols=2\norigin_x=2\norigin_y=2\npitch_x=10\npitch_y=10\n"
@@ -130,13 +110,13 @@ class TestSceneManifest:
         assert spec.occupancy == (False, True)
         assert spec.sigma == 1.5
 
-    test_unknown_key_rejected = rejects("unknown.*shine", lambda: parse_scene(manifest() + "shine = 3\n"))
+    test_unknown_key_rejected = rejects("unknown.*shine", lambda: parse_scene(MANIFEST + "shine = 3\n"))
     test_missing_key_rejected = rejects(
-        "missing.*seed", lambda: parse_scene(manifest().removesuffix("\nseed = 77\n"))
+        "missing.*seed", lambda: parse_scene(MANIFEST.removesuffix("\nseed = 77\n"))
     )
     test_bad_occupancy_chars = rejects(
-        "occupancy", lambda: parse_scene(manifest().replace("occupancy = 10", "occupancy = 1x"))
+        "occupancy", lambda: parse_scene(MANIFEST.replace("occupancy = 10", "occupancy = 1x"))
     )
     test_occupancy_length_mismatch = rejects(
-        "occupancy", lambda: parse_scene(manifest().replace("occupancy = 10", "occupancy = 101"))
+        "occupancy", lambda: parse_scene(MANIFEST.replace("occupancy = 10", "occupancy = 101"))
     )
