@@ -14,19 +14,27 @@ import numpy as np
 __all__ = ["mean_intensity", "sample_mean", "sample_std"]
 
 _INTENSITIES = np.arange(256, dtype=np.int64)
+# With every bin at most this, neither the total nor the weighted sum passes int64.
+_MAX_COUNT = np.iinfo(np.int64).max // int(_INTENSITIES.sum())
 
 
 def mean_intensity(hist) -> float:
-    """Intensity-weighted mean of a 256-bin histogram.
+    """Intensity-weighted mean of a 256-bin histogram of integer counts.
 
     Equals the arithmetic mean of the pixels the histogram was built from.
-    Raises ValueError if all bins are zero.
+    Raises ValueError if the counts are not integers, are negative, could
+    overflow int64 (a bin above ``_MAX_COUNT``) or are all zero.
     """
     bins = np.asarray(hist)
     if bins.shape != (256,):
         raise ValueError(f"histogram must have exactly 256 bins, got shape {bins.shape}")
+    if not np.issubdtype(bins.dtype, np.integer):
+        raise ValueError(f"histogram counts must be integers, got dtype {bins.dtype}")
     if np.any(bins < 0):
         raise ValueError("histogram counts must be non-negative")
+    top = int(bins.max())
+    if top > _MAX_COUNT:
+        raise ValueError(f"histogram count {top} exceeds {_MAX_COUNT}, so its sums could overflow int64")
     counts = bins.astype(np.int64)
     total = int(counts.sum())
     if total == 0:

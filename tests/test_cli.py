@@ -1,7 +1,9 @@
-"""End-to-end CLI behavior: verdict lines, exit codes, stdout purity.
+"""What a golden digest cannot check about the CLI; a new output check is a golden case.
 
-New tests take their input files from the ``inputs`` fixture and call the CLI
-in process through ``helpers.run``; ``run_cli`` starts it in a new process.
+Kept here: process start and exit, closed and failing streams, fuzzed input
+files, record ids, lazy imports, ``gc``, ``synth`` and the option inventory.
+Tests take their input files from the ``inputs`` fixture and call the CLI in
+process through ``helpers.run``; ``run_cli`` starts it in a new process.
 """
 
 import contextlib
@@ -13,7 +15,6 @@ import subprocess
 import sys
 import types
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,11 @@ from hypothesis import strategies as st
 from helpers import SRC, run, run_python
 from traysight import synthgen
 from traysight.cli import main
-from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
+from traysight.imaging import Rect, decode_pnm, save_gray_image
 from traysight.placement import PlacementModel, save_placement_model
 from traysight.synthgen import SceneSpec, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout
 
-LAYOUT = TrayLayout(4, 5, 2, 2, 12, 12, 10, 10)
 LAYOUT_TEXT = (
     "rows = 4\ncols = 5\norigin_x = 2\norigin_y = 2\n"
     "pitch_x = 12\npitch_y = 12\nslot_w = 10\nslot_h = 10\n"
@@ -60,16 +60,6 @@ def write_samples(sample_dir, count):
     return sample_dir
 
 
-def write_model(path, roi):
-    path.write_text(save_placement_model(PlacementModel(roi=roi, n=30, mean_value=118.0, std_value=2.0)))
-    return path
-
-
-def write_socket(path, value):
-    save_gray_image(GrayImage(np.full((6, 6), value, dtype=np.uint8)), path)
-    return path
-
-
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Every file the subcommands read, written once; ``out`` takes writes that no test reads."""
@@ -81,9 +71,7 @@ def inputs(tmp_path_factory):
         refs=root / "refs.txt",
         tray=write_tray(root / "tray.pgm", (True, False) * 10, seed=12),
         samples=write_samples(root / "samples", 30),
-        model=write_model(root / "model.txt", ROI),
-        socket=write_socket(root / "socket.pgm", 120),
-        socket_model=write_model(root / "socket_model.txt", Rect(0, 0, 6, 6)),
+        model=root / "model.txt",
         labels=root / "labels.txt",
         scene=root / "scene.cfg",
         out=root / "out",
@@ -91,6 +79,7 @@ def inputs(tmp_path_factory):
     files.layout.write_text(LAYOUT_TEXT)
     files.labels.write_text("".join(f"{i} {i % 2}\n" for i in range(20)))
     files.scene.write_text(SCENE_TEXT)
+    files.model.write_text(save_placement_model(PlacementModel(ROI, n=30, mean_value=118.0, std_value=2.0)))
     files.out.mkdir()
     code, _, _ = run("calibrate-presence", "--with", files.loaded, "--without", files.empty,
                      "--layout", files.layout, "--out", files.refs)
@@ -114,108 +103,6 @@ def working_options(inputs):
         "evaluate": {"--pred": inputs.labels, "--truth": inputs.labels},
         "synth": {"--scene": inputs.scene, "--out-dir": inputs.out / "synth"},
     }
-
-
-class TestCalibratePresence:
-    def test_writes_reference_store(self, inputs, tmp_path):
-        refs_path = tmp_path / "refs.txt"
-        code, out, _ = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.empty,
-                           "--layout", inputs.layout, "--out", refs_path)
-        assert code == 0
-        assert out == ""
-        assert refs_path.read_text().startswith("TRAYSIGHT-PRESENCE 1\n")
-
-    def test_identical_images_exit_2(self, inputs, tmp_path):
-        code, _, err = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.loaded,
-                           "--layout", inputs.layout, "--out", tmp_path / "refs.txt")
-        assert code == 2
-        assert "degenerate calibration" in err
-
-    def test_bad_layout_exit_2(self, inputs, tmp_path):
-        layout_path = tmp_path / "layout.cfg"
-        layout_path.write_text(LAYOUT_TEXT.replace("rows = 4\n", ""))
-        code, _, err = run("calibrate-presence", "--with", inputs.loaded, "--without", inputs.loaded,
-                           "--layout", layout_path, "--out", tmp_path / "refs.txt")
-        assert code == 2
-        assert "rows" in err
-
-
-class TestInspect:
-    def test_planted_occupancy_verdict_line(self, inputs, tmp_path):
-        occupancy = tuple(c == "1" for c in "11101111011111111111")
-        tray_path = write_tray(tmp_path / "tray.pgm", occupancy, seed=12)
-        code, out, err = run("inspect", "--image", tray_path, "--layout", inputs.layout,
-                             "--refs", inputs.refs, "--tray-id", "T1")
-        assert code == 0
-        assert out == "PRESENCE T1 11101111011111111111\n"
-        # ASCII map on the diagnostics stream, one row per tray row
-        map_lines = [line for line in err.splitlines() if set(line) <= {"#", "."}]
-        assert map_lines == ["###.#", "###.#", "#####", "#####"]
-
-    def test_all_occupied(self, inputs, tmp_path):
-        tray_path = write_tray(tmp_path / "tray.pgm", (True,) * 20, seed=13)
-        code, out, _ = run("inspect", "--image", tray_path, "--layout", inputs.layout,
-                           "--refs", inputs.refs, "--tray-id", "T9")
-        assert code == 0
-        assert out == "PRESENCE T9 " + "1" * 20 + "\n"
-
-    def test_outlier_warning_on_stderr(self, inputs, tmp_path):
-        bright = GrayImage(np.full((LAYOUT.origin_y + 4 * 12, LAYOUT.origin_x + 5 * 12), 255,
-                                   dtype=np.uint8))
-        tray_path = tmp_path / "bright.pgm"
-        save_gray_image(bright, tray_path)
-        code, out, err = run("inspect", "--image", tray_path, "--layout", inputs.layout,
-                             "--refs", inputs.refs, "--tray-id", "T1", "--outlier-k", "1.0")
-        assert code == 0
-        assert "WARN slot 0 outlier" in err
-        assert out.startswith("PRESENCE T1 ")
-
-    def test_map_rendering(self, inputs, tmp_path):
-        map_path = tmp_path / "map.ppm"
-        code, _, _ = run("inspect", "--image", inputs.tray, "--layout", inputs.layout,
-                         "--refs", inputs.refs, "--tray-id", "T1", "--map", map_path)
-        assert code == 0
-        data = map_path.read_bytes()
-        assert data.startswith(b"P6\n")
-        # decode as raw RGB: header "P6\n<w> <h>\n255\n"
-        header_end = data.index(b"255\n") + 4
-        w, h = (int(t) for t in data[3 : data.index(b"\n255")].split())
-        rgb = np.frombuffer(data[header_end:], dtype=np.uint8).reshape(h, w, 3)
-        assert tuple(rgb[0, 0]) == (90, 90, 90)  # background
-        assert tuple(rgb[7, 7]) == (0, 200, 0)  # slot 0 occupied
-        assert tuple(rgb[7, 19]) == (200, 0, 0)  # slot 1 empty
-
-    def test_unwritable_map_exit_2_before_any_record(self, inputs, tmp_path):
-        code, out, err = run("inspect", "--image", inputs.tray, "--layout", inputs.layout,
-                             "--refs", inputs.refs, "--tray-id", "T1",
-                             "--map", tmp_path / "missing" / "map.ppm")
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ")
-
-    def test_layout_defaults_to_the_refs_layout(self, inputs, tmp_path):
-        occupancy = tuple(c == "1" for c in "10101111011111100111")
-        tray_path = write_tray(tmp_path / "tray.pgm", occupancy, seed=16)
-        runs = []
-        for name, layout_args in (("given", ["--layout", inputs.layout]), ("stored", [])):
-            map_path = tmp_path / f"{name}.ppm"
-            result = run("inspect", "--image", tray_path, *layout_args, "--refs", inputs.refs,
-                         "--tray-id", "T1", "--map", map_path)
-            runs.append((*result, map_path.read_bytes()))
-        assert runs[0] == runs[1]
-        assert runs[0][1] == "PRESENCE T1 10101111011111100111\n"
-
-    def test_mismatched_layout_one_error_line(self, inputs, tmp_path):
-        other_layout = tmp_path / "other.cfg"
-        other_layout.write_text(LAYOUT_TEXT.replace("pitch_x = 12", "pitch_x = 11"))
-        code, out, err = run("inspect", "--image", inputs.tray, "--layout", other_layout,
-                             "--refs", inputs.refs, "--tray-id", "T1")
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: ")
-        assert "different layout" in err
 
 
 class TestMalformedInputFiles:
@@ -435,90 +322,6 @@ def test_main_with_argv_leaves_the_callers_gc_alone(working_options, tray_id, co
     before = (gc.get_freeze_count(), gc.isenabled())
     assert main(["inspect", *flags({**working_options["inspect"], "--tray-id": tray_id})]) == code
     assert (gc.get_freeze_count(), gc.isenabled()) == before
-
-
-class TestCalibratePlacement:
-    def test_full_calibration(self, inputs, tmp_path):
-        model_path = tmp_path / "model.txt"
-        code, _, err = run("calibrate-placement", "--samples", inputs.samples, "--roi", "1,1,8,8",
-                           "--out", model_path)
-        assert code == 0
-        assert "WARN" not in err
-        assert model_path.read_text().startswith("TRAYSIGHT-PLACEMENT 1\n")
-
-    def test_under_sampled_warns(self, inputs, tmp_path):
-        code, _, err = run("calibrate-placement", "--samples", *sorted(inputs.samples.iterdir())[:10],
-                           "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
-        assert code == 0
-        assert "WARN under-sampled n=10" in err
-
-    def test_single_sample_exit_2(self, inputs, tmp_path):
-        code, _, err = run("calibrate-placement", "--samples", inputs.samples / "s0000.pgm",
-                           "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
-        assert code == 2
-        assert "at least 2" in err
-
-    def test_explicit_file_list(self, inputs, tmp_path):
-        code, _, err = run("calibrate-placement", "--samples", *sorted(inputs.samples.iterdir())[:3],
-                           "--roi", "1,1,8,8", "--min-n", "3", "--out", tmp_path / "model.txt")
-        assert code == 0
-        assert "WARN" not in err
-
-    def test_bad_roi_exit_2(self, inputs, tmp_path):
-        code, _, err = run("calibrate-placement", "--samples", inputs.samples, "--roi", "1,1,8",
-                           "--out", tmp_path / "model.txt")
-        assert code == 2
-        assert "--roi" in err
-
-
-class TestVerify:
-    def test_ok_verdict(self, inputs):
-        # deviation 2.0 <= 3.92
-        code, out, _ = run("verify", "--image", inputs.socket, "--model", inputs.socket_model, "--id", "S1")
-        assert code == 0
-        assert out == "PLACEMENT S1 OK\n"
-
-    def test_ng_verdict(self, inputs, tmp_path):
-        image_path = write_socket(tmp_path / "socket.pgm", 125)  # deviation 7.0 > 3.92
-        code, out, _ = run("verify", "--image", image_path, "--model", inputs.socket_model, "--id", "S2")
-        assert code == 1
-        assert out == (
-            "PLACEMENT S2 NG value=125.000000 mean=118.000000 threshold=3.920000\n"
-        )
-
-    def test_missing_model_exit_2(self, inputs, tmp_path):
-        code, out, _ = run("verify", "--image", inputs.socket, "--model", tmp_path / "none.txt", "--id", "S3")
-        assert code == 2
-        assert out == ""
-
-
-class TestEvaluate:
-    def test_reference_counts(self, tmp_path):
-        pairs = [(1, 1)] * 4334 + [(0, 1)] * 2 + [(1, 0)] * 13 + [(0, 0)] * 13641
-        pred = tmp_path / "pred.txt"
-        truth = tmp_path / "truth.txt"
-        pred.write_text("".join(f"ob{i} {predicted}\n" for i, (predicted, _) in enumerate(pairs)))
-        truth.write_text("".join(f"ob{i} {actual}\n" for i, (_, actual) in enumerate(pairs)))
-        code, out, _ = run("evaluate", "--pred", pred, "--truth", truth)
-        assert code == 0
-        assert out == (
-            "TP 4334 FN 2 FP 13 TN 13641\n"
-            "accuracy 0.9992 precision 0.9970 recall 0.9995\n"
-        )
-
-    def test_identical_files_accuracy_one(self, inputs):
-        code, out, _ = run("evaluate", "--pred", inputs.labels, "--truth", inputs.labels)
-        assert code == 0
-        assert "accuracy 1.0000" in out
-
-    def test_mismatched_ids_exit_2(self, tmp_path):
-        pred = tmp_path / "pred.txt"
-        truth = tmp_path / "truth.txt"
-        pred.write_text("a 1\n")
-        truth.write_text("b 1\n")
-        code, _, err = run("evaluate", "--pred", pred, "--truth", truth)
-        assert code == 2
-        assert "do not match" in err
 
 
 class TestSynth:

@@ -103,15 +103,14 @@ def case(name, files, *steps):
     CASES[name] = (files, steps)
 
 
+CALIBRATE = ["calibrate-presence", "--with", "in/with.pnm", "--without", "in/without.pnm",
+             "--layout", "in/layout.cfg", "--out", "out/refs.txt"]
+
+
 def calibrate_and_inspect(name, files, inspect=()):
     """calibrate-presence on in/with and in/without, then inspect in/tray with a --map."""
-    case(
-        name, files,
-        ["calibrate-presence", "--with", "in/with.pnm", "--without", "in/without.pnm",
-         "--layout", "in/layout.cfg", "--out", "out/refs.txt"],
-        ["inspect", "--image", "in/tray.pnm", "--refs", "out/refs.txt", "--tray-id", name,
-         "--map", "out/map.ppm", *inspect],
-    )
+    case(name, files, CALIBRATE, ["inspect", "--image", "in/tray.pnm", "--refs", "out/refs.txt",
+                                  "--tray-id", name, "--map", "out/map.ppm", *inspect])
 
 
 def presence(name, layout, bits, *, mu=(170, 70), shift=0, inspect=(), **image):
@@ -256,6 +255,11 @@ for name, files, inspect in [
     ("inspect-map-unwritable", {}, ["--map", "out/missing/map.ppm"]),
 ]:
     calibrate_and_inspect(name, {**GOOD_FILES, **files}, inspect)
+# Without --layout, inspect takes the refs' layout: the same records and map as with it.
+case("inspect-layout-given-and-stored", GOOD_FILES, CALIBRATE, *(
+    ["inspect", "--image", "in/tray.pnm", *given, "--refs", "out/refs.txt", "--tray-id", "T",
+     "--map", f"out/{name}.ppm"]
+    for name, given in [("given", ["--layout", "in/layout.cfg"]), ("stored", [])]))
 
 
 # Socket placement: each frame is a 1x1 tray whose slot is the ROI.

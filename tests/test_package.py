@@ -1,4 +1,5 @@
-"""The package import: its BLAS thread cap, its lazily loaded names and its untouched GC."""
+"""The package import: its BLAS thread cap, its lazily loaded names and its untouched GC;
+and the source text each mutant of ``tests/mutants.py`` replaces."""
 
 import importlib
 import os
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import run_python
+from helpers import SRC, run_python
+from mutants import MUTANTS
 import traysight
 
 LINUX_TASKS = Path("/proc/self/task")
@@ -90,3 +92,8 @@ def test_module_star_import_binds_its_all(module):
     # A name left in a module's __all__ after its removal fails here; the package's
     # own __all__ is TestLazyNames::test_star_import_binds_every_name.
     exec(f"from traysight.{module} import *", {})
+
+
+def test_each_mutants_old_text_occurs_once_in_its_module():
+    for name, module, old, _, _ in MUTANTS:
+        assert (SRC / "traysight" / module).read_text().count(old) == 1, name

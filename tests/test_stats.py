@@ -15,6 +15,7 @@ from traysight.imaging import GrayImage, histogram
 from traysight.stats import mean_intensity, sample_mean, sample_std
 
 bounded_floats = st.floats(min_value=0.0, max_value=200.0, allow_nan=False, width=64)
+SAFE_COUNT = (2**63 - 1) // sum(range(256))  # the largest bin count whose sums cannot pass int64
 
 
 class TestMeanIntensity:
@@ -34,6 +35,16 @@ class TestMeanIntensity:
     test_negative_count_rejected = rejects(
         "non-negative", lambda: mean_intensity(np.where(np.arange(256) == 3, -1, 0))
     )
+    test_non_integer_counts_rejected = rejects(
+        "integers", lambda: mean_intensity([0.5] + [0] * 254 + [1]), lambda: mean_intensity([np.nan] * 256)
+    )
+    test_overflowing_counts_rejected = rejects(
+        "overflow", lambda: mean_intensity([1] + [0] * 254 + [2**56]),
+        lambda: mean_intensity([SAFE_COUNT + 1] * 256),
+    )
+
+    def test_largest_safe_counts_exact(self):
+        assert mean_intensity([SAFE_COUNT] * 256) == 127.5
 
     def test_equals_pixel_mean_of_image(self):
         # The cross-module link: histogram mean == arithmetic pixel mean, exactly.
