@@ -7,6 +7,7 @@ never silently coerced to 0 or 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -60,19 +61,8 @@ def tally(predicted: Sequence[bool], actual: Sequence[bool]) -> ConfusionMatrix:
         raise ValueError(f"length mismatch: {len(predicted)} predictions vs {len(actual)} actuals")
     if len(predicted) == 0:
         raise ValueError("cannot tally empty label sequences")
-    tp = fn = fp = tn = 0
-    for p, a in zip(predicted, actual):
-        if a:
-            if p:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
+    cells = Counter(zip(map(bool, predicted), map(bool, actual)))  # keys (predicted, actual); True == 1
+    return ConfusionMatrix(tp=cells[1, 1], fn=cells[0, 1], fp=cells[1, 0], tn=cells[0, 0])
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:

@@ -10,7 +10,6 @@ Images are immutable after construction and safe to share between workers:
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,8 +97,12 @@ class Rect:
 
 def to_gray(r: int, g: int, b: int) -> int:
     """BT.601 luma of an RGB triple (channels in [0, 255]), rounded half-up."""
-    luma = 0.299 * r + 0.587 * g + 0.114 * b
-    return min(255, int(math.floor(luma + 0.5)))
+    return int(_luma(r, g, b))
+
+
+def _luma(r, g, b):
+    # Python ints or uint8 arrays: uint8 times a Python float is float64, so both take the same IEEE steps.
+    return np.minimum(np.floor(0.299 * r + 0.587 * g + 0.114 * b + 0.5), 255.0)
 
 
 def crop(img: GrayImage, r: Rect) -> GrayImage:
@@ -123,7 +126,7 @@ _HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)" * 3)
 
 
 def decode_pnm(data: bytes) -> GrayImage:
-    """Decode binary PGM (P5) or PPM (P6) bytes; P6 is converted via :func:`to_gray`."""
+    """Decode binary PGM (P5) or PPM (P6) bytes; P6 is converted by :func:`to_gray`'s rule."""
     magic = bytes(data[:2])
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"not a binary PGM/PPM (magic {magic!r})")
@@ -148,31 +151,29 @@ def decode_pnm(data: bytes) -> GrayImage:
     if have < need:
         raise ValueError(f"pixel data truncated: need {need} bytes, have {have}")
     raw = np.frombuffer(data, np.uint8, need, pos)
-    if channels == 1:
-        return GrayImage(raw.reshape(height, width))
-    rgb = raw.reshape(height, width, 3)
-    # Same expression as to_gray so scalar and vector paths agree bit-for-bit: a uint8
-    # channel times a Python float is float64 (under NEP 50 and numpy 1.x alike).
-    luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
-    gray = np.minimum(np.floor(luma + 0.5), 255.0).astype(np.uint8)
-    return GrayImage(gray)
+    gray = raw if channels == 1 else _luma(raw[0::3], raw[1::3], raw[2::3]).astype(np.uint8)
+    return GrayImage(gray.reshape(height, width))
+
+
+def _pnm_parts(magic: str, pixels) -> tuple[bytes, memoryview]:
+    # The header and the C-contiguous payload, unjoined. P5 pixels come checked from a GrayImage.
+    arr = np.asarray(pixels)
+    if magic == "P6" and (arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1):
+        raise ValueError(f"expected a (height, width, 3) array, got shape {arr.shape}")
+    if arr.dtype != np.uint8:
+        raise ValueError(f"expected uint8 pixels, got dtype {arr.dtype}")
+    header = f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    return header, np.ascontiguousarray(arr).data
 
 
 def encode_p5(img: GrayImage) -> bytes:
     """Canonical binary PGM bytes: ``P5\\n<w> <h>\\n255\\n`` + raw pixel payload."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(img.pixels).data))
+    return b"".join(_pnm_parts("P5", img.pixels))
 
 
 def encode_p6(rgb: np.ndarray) -> bytes:
     """Binary PPM bytes from a (height, width, 3) uint8 array."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"expected a (height, width, 3) array, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        raise ValueError(f"expected uint8 pixels, got dtype {arr.dtype}")
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(arr).data))
+    return b"".join(_pnm_parts("P6", rgb))
 
 
 def load_gray_image(path) -> GrayImage:
@@ -186,5 +187,7 @@ def save_gray_image(img: GrayImage, path) -> None:
 
 
 def save_color_image(rgb: np.ndarray, path) -> None:
-    """Write a (height, width, 3) uint8 array as a binary PPM file."""
-    Path(path).write_bytes(encode_p6(rgb))
+    """Write a (height, width, 3) uint8 array as a binary PPM file, without a joined copy."""
+    parts = _pnm_parts("P6", rgb)
+    with Path(path).open("wb") as f:
+        f.writelines(parts)

@@ -42,7 +42,8 @@ MUTANTS = [
      "[acc-roi-h258]"),
     ("mean-by-reciprocal", "tray_grid.py", "[total / area for", "[total * (1 / area) for",
      "test_presence.py::TestCalibrate::test_matches_crop_and_average_oracle"),
-    ("p6-luma-rint", "imaging.py", "np.floor(luma + 0.5)", "np.rint(luma)", "[p6-4x5]"),
+    ("p6-luma-rint", "imaging.py", "np.floor(0.299 * r + 0.587 * g + 0.114 * b + 0.5)",
+     "np.rint(0.299 * r + 0.587 * g + 0.114 * b)", "[p6-4x5]"),
     ("bins-from-one", "stats.py", "np.arange(256, dtype", "np.arange(1, 257, dtype",
      f"{A}2_statistics_oracle_equivalence"),
     ("std-over-n", "stats.py", "/ (len(xs) - 1)", "/ len(xs)", f"{A}2_statistics_oracle_equivalence"),
@@ -52,6 +53,8 @@ MUTANTS = [
     ("bound-inclusive", "stats.py", "> _MAX_COUNT", ">= _MAX_COUNT", f"{MEAN}largest_safe_counts_exact"),
     ("precision-over-fn", "evaluation.py", "(cm.tp + cm.fp) if", "(cm.tp + cm.fn) if",
      f"{A}1_reference_metrics_reproduction"),
+    ("tally-fn-fp-swapped", "evaluation.py", "fn=cells[0, 1], fp=cells[1, 0]", "fn=cells[1, 0], fp=cells[0, 1]",
+     "test_evaluation.py::TestTally::test_matches_counting_oracle"),
     ("metric-digits", "evaluation.py", "value:.4f", "value:.3f", f"{A}1_reference_metrics_reproduction"),
     # Model invariants and input checks
     ("reference-checks-swapped", "presence.py", "            if not 0 <= w",
@@ -86,6 +89,7 @@ MUTANTS = [
     ("label-ids-unjoined", "evaluation.py", "if missing or extra:", "if False:", "[evaluate-mismatched-ids]"),
     ("synth-sigma", "synthgen.py", "or self.sigma < 0:", "or False:", "[synth-sigma-negative]"),
     ("synth-reworded", "synthgen.py", "must lie in", "must be in", "[synth-mu-with-above-255]"),
+    ("pnm-maxval-254", "imaging.py", '\\n255\\n".encode', '\\n254\\n".encode', "[grid-00]"),
     # Stores
     ("decimal-unpadded", "_fmt.py", "{frac.ljust(6, '0')}", "{frac}", "[socket-40x40]"),
     ("store-version", "_fmt.py", "header[1] != str(version):", "False:", "test_stores.py::test_envelope"),
@@ -117,6 +121,10 @@ MUTANTS = [
     ("ng-exit-0", "cli.py", "    return 1\n", "    return 0\n", "[socket-40x40]"),
     ("ng-threshold-digits", "cli.py", "{verdict.threshold:.6f}", "{verdict.threshold:.5f}", "[socket-40x40]"),
     ("evaluate-fields", "cli.py", "FN {cm.fn} FP {cm.fp}", "FP {cm.fp} FN {cm.fn}", "[evaluate-random]"),
+    ("read-any-mode", "cli.py", "if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFIFO):",
+     "if False:", "test_cli.py::TestInputKinds::test_directory_exit_2[inspect---image]"),
+    ("read-no-fifo", "cli.py", "(stat.S_IFREG, stat.S_IFIFO)", "(stat.S_IFREG,)",
+     "test_cli.py::TestInputKinds::test_piped_image_gives_the_file_record"),
     ("os-error-uncaught", "cli.py", "(OSError, ValueError)", "ValueError", "[image-missing]"),
     ("value-error-uncaught", "cli.py", "(OSError, ValueError)", "OSError", "[layout-unknown-key]"),
     ("record-id-whitespace", "cli.py", "if value.split() != [value]:", "if not value:",

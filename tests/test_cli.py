@@ -1,9 +1,10 @@
 """What a golden digest cannot check about the CLI; a new output check is a golden case.
 
 Kept here: process start and exit, closed and failing streams, fuzzed input
-files, record ids, lazy imports, ``gc``, ``synth`` and the option inventory.
-Tests take their input files from the ``inputs`` fixture and call the CLI in
-process through ``helpers.run``; ``run_cli`` starts it in a new process.
+files, devices and pipes as inputs, record ids, lazy imports, ``gc``, ``synth``
+and the option inventory. Tests take their input files from the ``inputs``
+fixture and call the CLI in process through ``helpers.run``; ``run_cli``
+starts it in a new process.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import dataclasses
 import gc
 import os
 import re
+import resource
 import subprocess
 import sys
 import types
@@ -171,7 +173,7 @@ class TestMalformedInputFiles:
 
 
 def run_cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stderr=False, unbuffered=False,
-            close_stdout=False):
+            close_stdout=False, **run_options):
     """Run ``python -m traysight.cli`` in a new process, the way users start it.
 
     PYTHONUNBUFFERED is removed from the child's environment unless asked for.
@@ -179,7 +181,8 @@ def run_cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stderr=F
     failures that only show in the interpreter's buffered flush at exit (such
     as exit code 120 on a closed stdout). With ``close_stderr`` the child starts
     with fd 2 closed, as after ``2>&-``, and with ``close_stdout`` with fd 1
-    closed, as after ``>&-``. ``stdout`` and ``stderr`` go to ``subprocess.run``.
+    closed, as after ``>&-``. ``stdout``, ``stderr`` and ``run_options`` (such as
+    ``input`` or a ``timeout`` other than 120 s) go to ``subprocess.run``.
     """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("PYTHONUNBUFFERED", None)
@@ -189,7 +192,8 @@ def run_cli(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stderr=F
     closes = " >&-" * close_stdout + " 2>&-" * close_stderr
     if closes:
         command = ["/bin/sh", "-c", f'exec "$@"{closes}', "sh", *command]
-    return subprocess.run(command, stdout=stdout, stderr=stderr, env=env, timeout=120)
+    run_options.setdefault("timeout", 120)
+    return subprocess.run(command, stdout=stdout, stderr=stderr, env=env, **run_options)
 
 
 @contextlib.contextmanager
@@ -292,6 +296,51 @@ class TestClosedStdout:
         assert "Traceback" not in proc.stderr.decode()
         if command in self.WRITTEN:
             assert (inputs.out / self.WRITTEN[command]).exists()
+
+
+class TestInputKinds:
+    """Every input path must name a regular file or a pipe: a device or a directory
+    exits 2 with one error line before a byte is read, and a pipe reads as its file."""
+
+    @pytest.mark.parametrize("command, flag", [
+        case for case in TestMalformedInputFiles.CASES if case[1] != "--samples"  # a directory lists samples
+    ])
+    def test_directory_exit_2(self, inputs, working_options, command, flag):
+        code, out, err = run(command, *flags({**working_options[command], flag: inputs.out}))
+        assert (code, out, err) == (2, "", f"error: {inputs.out}: not a regular file or a pipe\n")
+
+    @staticmethod
+    def limit_memory():
+        # The paper's rig has 1 GB: reading a device until memory runs out must never start.
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # Never in process: there, reading /dev/zero would not stop.
+    @pytest.mark.parametrize("command, flag", [("inspect", "--image"), ("verify", "--model")])
+    def test_endless_device_exit_2_at_once(self, working_options, command, flag):
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero on this system")
+        options = {**working_options[command], flag: "/dev/zero"}
+        proc = run_cli([command, *flags(options)], preexec_fn=self.limit_memory, timeout=5)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: /dev/zero: not a regular file or a pipe\n"
+
+    def test_terminal_stdin_exit_2_at_once(self, working_options):
+        leader, terminal = os.openpty()
+        try:
+            proc = run_cli(["inspect", *flags({**working_options["inspect"], "--image": "/dev/stdin"})],
+                           stdin=terminal, preexec_fn=self.limit_memory, timeout=5)
+        finally:
+            os.close(leader)
+            os.close(terminal)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: /dev/stdin: not a regular file or a pipe\n"
+
+    def test_piped_image_gives_the_file_record(self, inputs, working_options):
+        options = working_options["inspect"]
+        proc = run_cli(["inspect", *flags({**options, "--image": "/dev/stdin"})],
+                       input=inputs.tray.read_bytes())
+        code, out, err = run("inspect", *flags(options))
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
 
 
 def test_record_commands_import_neither_synthgen_nor_evaluation(working_options):

@@ -16,6 +16,7 @@ from traysight.imaging import (
     encode_p6,
     histogram,
     load_gray_image,
+    save_color_image,
     to_gray,
 )
 
@@ -256,13 +257,6 @@ class TestPnmCodec:
         path.write_bytes(b"P6\n1 1\n255\n" + bytes([255, 255, 255]))
         assert load_gray_image(path).pixels.tolist() == [[255]]
 
-    def test_p6_matches_scalar_conversion(self):
-        rng = np.random.default_rng(3)
-        rgb = rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8)
-        img = decode_pnm(encode_p6(rgb))
-        expected = [[to_gray(*rgb[y, x]) for x in range(7)] for y in range(5)]
-        assert img.pixels.tolist() == expected
-
     def test_p6_matches_float64_expression_on_every_rgb_triple(self):
         # One 256x256 frame per red value: green down the rows, blue across the columns.
         g, b = np.meshgrid(np.arange(256, dtype=np.uint8), np.arange(256, dtype=np.uint8), indexing="ij")
@@ -284,6 +278,19 @@ class TestPnmCodec:
             tracemalloc.stop()
         # The float64 luma and its temporaries; a float64 copy of the RGB payload adds 24 B/px.
         assert peak < 32 * side * side
+
+    def test_save_color_image_writes_without_a_joined_copy(self, tmp_path):
+        rgb = np.random.default_rng(3).integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8)
+        path = tmp_path / "map.ppm"
+        tracemalloc.start()
+        try:
+            save_color_image(rgb, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A joined header + payload would be one more 3 MiB copy of the frame.
+        assert peak < 64 * 1024
+        assert path.read_bytes() == encode_p6(rgb)
 
     test_truncated_payload = rejects("16 bytes, have 15", lambda: decode_pnm(b"P5\n4 4\n255\n" + bytes(15)))
     test_bad_magic = rejects("magic", lambda: decode_pnm(b"P3\n1 1\n255\n0"))
