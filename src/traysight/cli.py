@@ -19,7 +19,6 @@ import contextlib
 import gc
 import io
 import os
-import stat
 import sys
 import warnings
 from pathlib import Path
@@ -36,15 +35,8 @@ BACKGROUND_COLOR = (90, 90, 90)
 _GRID_CHARS = str.maketrans("01", ".#")  # the tray grid printed to stderr
 
 
-def _read(path) -> bytes:
-    # A device such as /dev/zero, a camera or a terminal could feed the read until memory runs out.
-    if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFIFO):
-        raise ValueError(f"{path}: not a regular file or a pipe")
-    return Path(path).read_bytes()
-
-
 def _read_text(path) -> str:
-    return _read(path).decode("ascii")
+    return imaging._read(path).decode("ascii")
 
 
 def _parse_roi(text: str) -> imaging.Rect:
@@ -94,8 +86,8 @@ def _render_map(image, layout, result) -> np.ndarray:
 
 def cmd_calibrate_presence(args) -> int:
     layout = tray_grid.parse_layout(_read_text(args.layout))
-    with_image = imaging.decode_pnm(_read(args.with_path))
-    without_image = imaging.decode_pnm(_read(args.without_path))
+    with_image = imaging.load_gray_image(args.with_path)
+    without_image = imaging.load_gray_image(args.without_path)
     refs = presence.calibrate_presence(with_image, without_image, layout)
     Path(args.out).write_text(presence.save_presence_refs(refs), encoding="ascii")
     return 0
@@ -105,7 +97,7 @@ def cmd_inspect(args) -> int:
     _check_record_id(args.tray_id, "--tray-id")
     refs = presence.load_presence_refs(_read_text(args.refs))
     layout = tray_grid.parse_layout(_read_text(args.layout)) if args.layout else refs.layout
-    image = imaging.decode_pnm(_read(args.image))
+    image = imaging.load_gray_image(args.image)
     result = presence.inspect_tray(image, layout, refs, outlier_k=args.outlier_k)
     if args.map:
         imaging.save_color_image(_render_map(image, layout, result), args.map)
@@ -120,7 +112,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_calibrate_placement(args) -> int:
     roi = _parse_roi(args.roi)
-    samples = [imaging.decode_pnm(_read(p)) for p in _expand_samples(args.samples)]
+    samples = [imaging.load_gray_image(p) for p in _expand_samples(args.samples)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = placement.calibrate_placement(samples, roi, z=args.z, min_n=args.min_n)
@@ -134,7 +126,7 @@ def cmd_calibrate_placement(args) -> int:
 def cmd_verify(args) -> int:
     _check_record_id(args.id, "--id")
     model = placement.load_placement_model(_read_text(args.model))
-    image = imaging.decode_pnm(_read(args.image))
+    image = imaging.load_gray_image(args.image)
     verdict = placement.verify_placement(image, model)
     if verdict.correct:
         print(f"PLACEMENT {args.id} OK")

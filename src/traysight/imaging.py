@@ -6,11 +6,17 @@ Images are immutable after construction and safe to share between workers:
 ``GrayImage`` copies its pixels unless they are C-contiguous ``uint8`` over a
 ``bytes`` object, which nothing can change, so ``decode_pnm`` of ``bytes`` and
 ``load_gray_image`` alias the file bytes instead of copying them.
+
+``load_gray_image`` is the one image file read, the CLI's too: it takes a
+regular file or a pipe and refuses anything else, such as a device or a
+directory, with a ``ValueError`` before a byte is read. Both savers write the
+header and then the pixel buffer, never a joined copy of the frame.
 """
 
 from __future__ import annotations
 
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,7 +102,10 @@ class Rect:
 
 
 def to_gray(r: int, g: int, b: int) -> int:
-    """BT.601 luma of an RGB triple (channels in [0, 255]), rounded half-up."""
+    """BT.601 luma of an RGB triple of integers in [0, 255], rounded half-up."""
+    for name, value in zip("rgb", (r, g, b)):
+        if not isinstance(value, (int, np.integer)) or not 0 <= value <= 255:
+            raise ValueError(f"channel {name} must be an integer in [0, 255], got {value!r}")
     return int(_luma(r, g, b))
 
 
@@ -176,14 +185,23 @@ def encode_p6(rgb: np.ndarray) -> bytes:
     return b"".join(_pnm_parts("P6", rgb))
 
 
+def _read(path) -> bytes:
+    # A device such as /dev/zero, a camera or a terminal could feed the read until memory runs out.
+    if stat.S_IFMT(Path(path).stat().st_mode) not in (stat.S_IFREG, stat.S_IFIFO):
+        raise ValueError(f"{path}: not a regular file or a pipe")
+    return Path(path).read_bytes()
+
+
 def load_gray_image(path) -> GrayImage:
-    """Load a binary PGM/PPM file as grayscale."""
-    return decode_pnm(Path(path).read_bytes())
+    """Load a binary PGM/PPM regular file or pipe as grayscale; anything else is a ``ValueError``."""
+    return decode_pnm(_read(path))
 
 
 def save_gray_image(img: GrayImage, path) -> None:
-    """Write ``img`` as a binary PGM file."""
-    Path(path).write_bytes(encode_p5(img))
+    """Write ``img`` as a binary PGM file, without a joined copy."""
+    parts = _pnm_parts("P5", img.pixels)
+    with Path(path).open("wb") as f:
+        f.writelines(parts)
 
 
 def save_color_image(rgb: np.ndarray, path) -> None:

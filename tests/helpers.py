@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,12 @@ def run_python(script, **env):
                           env=child_env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def limit_memory():
+    """Cap a child's address space at 1 GiB, the paper's rig: reading a device until
+    memory runs out must never start. Pass as ``preexec_fn``."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def rejects(match, *calls, error=ValueError):

@@ -121,10 +121,15 @@ MUTANTS = [
     ("ng-exit-0", "cli.py", "    return 1\n", "    return 0\n", "[socket-40x40]"),
     ("ng-threshold-digits", "cli.py", "{verdict.threshold:.6f}", "{verdict.threshold:.5f}", "[socket-40x40]"),
     ("evaluate-fields", "cli.py", "FN {cm.fn} FP {cm.fp}", "FP {cm.fp} FN {cm.fn}", "[evaluate-random]"),
-    ("read-any-mode", "cli.py", "if stat.S_IFMT(os.stat(path).st_mode) not in (stat.S_IFREG, stat.S_IFIFO):",
-     "if False:", "test_cli.py::TestInputKinds::test_directory_exit_2[inspect---image]"),
-    ("read-no-fifo", "cli.py", "(stat.S_IFREG, stat.S_IFIFO)", "(stat.S_IFREG,)",
+    ("read-any-mode", "imaging.py",
+     "if stat.S_IFMT(Path(path).stat().st_mode) not in (stat.S_IFREG, stat.S_IFIFO):", "if False:",
+     "test_cli.py::TestInputKinds::test_directory_exit_2[inspect---image]"),
+    ("read-no-fifo", "imaging.py", "(stat.S_IFREG, stat.S_IFIFO)", "(stat.S_IFREG,)",
      "test_cli.py::TestInputKinds::test_piped_image_gives_the_file_record"),
+    ("load-unguarded", "imaging.py", "return decode_pnm(_read(path))", "return decode_pnm(Path(path).read_bytes())",
+     "test_imaging.py::TestPnmCodec::test_reads_a_pipe_but_not_a_directory"),
+    ("gray-save-joined", "imaging.py", 'parts = _pnm_parts("P5", img.pixels)', "parts = [encode_p5(img)]",
+     "test_imaging.py::TestPnmCodec::test_save_writes_without_a_joined_copy[P5]"),
     ("os-error-uncaught", "cli.py", "(OSError, ValueError)", "ValueError", "[image-missing]"),
     ("value-error-uncaught", "cli.py", "(OSError, ValueError)", "OSError", "[layout-unknown-key]"),
     ("record-id-whitespace", "cli.py", "if value.split() != [value]:", "if not value:",

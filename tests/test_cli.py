@@ -12,7 +12,6 @@ import dataclasses
 import gc
 import os
 import re
-import resource
 import subprocess
 import sys
 import types
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SRC, run, run_python
+from helpers import SRC, limit_memory, run, run_python
 from traysight import synthgen
 from traysight.cli import main
 from traysight.imaging import Rect, decode_pnm, save_gray_image
@@ -309,18 +308,13 @@ class TestInputKinds:
         code, out, err = run(command, *flags({**working_options[command], flag: inputs.out}))
         assert (code, out, err) == (2, "", f"error: {inputs.out}: not a regular file or a pipe\n")
 
-    @staticmethod
-    def limit_memory():
-        # The paper's rig has 1 GB: reading a device until memory runs out must never start.
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     # Never in process: there, reading /dev/zero would not stop.
     @pytest.mark.parametrize("command, flag", [("inspect", "--image"), ("verify", "--model")])
     def test_endless_device_exit_2_at_once(self, working_options, command, flag):
         if not os.path.exists("/dev/zero"):
             pytest.skip("no /dev/zero on this system")
         options = {**working_options[command], flag: "/dev/zero"}
-        proc = run_cli([command, *flags(options)], preexec_fn=self.limit_memory, timeout=5)
+        proc = run_cli([command, *flags(options)], preexec_fn=limit_memory, timeout=5)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"error: /dev/zero: not a regular file or a pipe\n"
 
@@ -328,7 +322,7 @@ class TestInputKinds:
         leader, terminal = os.openpty()
         try:
             proc = run_cli(["inspect", *flags({**working_options["inspect"], "--image": "/dev/stdin"})],
-                           stdin=terminal, preexec_fn=self.limit_memory, timeout=5)
+                           stdin=terminal, preexec_fn=limit_memory, timeout=5)
         finally:
             os.close(leader)
             os.close(terminal)

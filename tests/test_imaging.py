@@ -1,5 +1,9 @@
 """Codec, grayscale conversion, cropping, and histogram behavior."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,16 +11,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import rejects
+from helpers import SRC, limit_memory, rejects
 from traysight.imaging import (
     GrayImage,
     Rect,
     crop,
     decode_pnm,
+    encode_p5,
     encode_p6,
     histogram,
     load_gray_image,
     save_color_image,
+    save_gray_image,
     to_gray,
 )
 
@@ -178,6 +184,15 @@ class TestToGray:
     def test_known_weighting(self):
         # 0.299*200 + 0.587*100 + 0.114*50 = 124.2 -> 124
         assert to_gray(200, 100, 50) == 124
+        assert to_gray(np.uint8(200), np.int64(100), np.int32(50)) == 124
+
+    test_rejects_red_out_of_range = rejects(
+        "channel r", lambda: to_gray(-10, 0, 0), lambda: to_gray(300, 300, 300)
+    )
+    test_rejects_non_integer_green = rejects(
+        "channel g", lambda: to_gray(0, 2.5, 0), lambda: to_gray(0, np.float64(1.0), 0)
+    )
+    test_rejects_blue_above_255 = rejects("channel b", lambda: to_gray(0, 0, 256))
 
 
 class TestCrop:
@@ -279,18 +294,22 @@ class TestPnmCodec:
         # The float64 luma and its temporaries; a float64 copy of the RGB payload adds 24 B/px.
         assert peak < 32 * side * side
 
-    def test_save_color_image_writes_without_a_joined_copy(self, tmp_path):
-        rgb = np.random.default_rng(3).integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8)
-        path = tmp_path / "map.ppm"
+    @pytest.mark.parametrize("save, encode, frame", [
+        pytest.param(save_gray_image, encode_p5, lambda rgb: GrayImage(rgb[..., 0]), id="P5"),
+        pytest.param(save_color_image, encode_p6, lambda rgb: rgb, id="P6"),
+    ])
+    def test_save_writes_without_a_joined_copy(self, tmp_path, save, encode, frame):
+        image = frame(np.random.default_rng(3).integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8))
+        path = tmp_path / "frame.pnm"
         tracemalloc.start()
         try:
-            save_color_image(rgb, path)
+            save(image, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A joined header + payload would be one more 3 MiB copy of the frame.
+        # A joined header + payload would be one more 1 MiB (P5) or 3 MiB (P6) copy of the frame.
         assert peak < 64 * 1024
-        assert path.read_bytes() == encode_p6(rgb)
+        assert path.read_bytes() == encode(image)
 
     test_truncated_payload = rejects("16 bytes, have 15", lambda: decode_pnm(b"P5\n4 4\n255\n" + bytes(15)))
     test_bad_magic = rejects("magic", lambda: decode_pnm(b"P3\n1 1\n255\n0"))
@@ -305,6 +324,31 @@ class TestPnmCodec:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_gray_image(tmp_path / "nope.pgm")
+
+    def test_reads_a_pipe_but_not_a_directory(self, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            load_gray_image(tmp_path)
+        assert str(excinfo.value) == f"{tmp_path}: not a regular file or a pipe"
+        fifo = tmp_path / "frame.pgm"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"P5\n2 1\n255\n\x01\x02",), daemon=True)
+        writer.start()
+        try:
+            assert load_gray_image(fifo).pixels.tolist() == [[1, 2]]
+        finally:
+            # Lets a writer still waiting for a reader open, write and end.
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(5)
+            os.close(reader)
+
+    # Never in process: there, reading /dev/zero would not stop.
+    def test_endless_device_refused_at_once(self):
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero on this system")
+        script = "from traysight.imaging import load_gray_image\nload_gray_image('/dev/zero')\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit_memory, timeout=5)
+        assert proc.stderr.splitlines()[-1] == "ValueError: /dev/zero: not a regular file or a pipe"
 
     test_maxval_must_be_255 = rejects(
         "unsupported maxval",
