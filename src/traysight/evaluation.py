@@ -1,4 +1,4 @@
-"""Actual-vs-predicted tallying and accuracy/precision/recall.
+"""Actual-vs-predicted tallying, accuracy/precision/recall and the label files they read.
 
 Positive means module-present (occupancy task) or placement-correct
 (socket task). Metrics with a vanishing denominator are reported as None,
@@ -25,7 +25,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """TP/FN/FP/TN tallies; addable component-wise for parallel merging."""
+    """TP/FN/FP/TN tallies; ``a + b`` adds them component-wise, so separate tallies merge."""
 
     tp: int
     fn: int

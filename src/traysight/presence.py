@@ -16,7 +16,7 @@ import numpy as np
 
 from ._fmt import format_decimal, format_store, parse_store, store_fields
 from .imaging import GrayImage
-from .tray_grid import TrayLayout, slot_means, slot_sums
+from .tray_grid import LAYOUT_KEYS, TrayLayout, slot_means, slot_sums
 
 __all__ = [
     "SlotReference",
@@ -162,9 +162,7 @@ def inspect_tray(
     flags = nearer > outlier_k * separation
     # A bool array's bytes are 0 and 1, one per slot.
     bitstring = occupied.tobytes().translate(_BIT_CHARS).decode("ascii")
-    # count_nonzero is the cheap test; flags.any() costs about as much as the tuples it skips.
-    outliers = tuple(flags.nonzero()[0].tolist()) if np.count_nonzero(flags) else ()
-    return OccupancyResult(bitstring, outliers)
+    return OccupancyResult(bitstring, tuple(flags.nonzero()[0].tolist()))
 
 
 def save_presence_refs(refs: PresenceReferenceSet) -> str:
@@ -184,7 +182,7 @@ def load_presence_refs(text: str) -> PresenceReferenceSet:
     if not records:
         raise ValueError("missing layout line")
     try:
-        layout = TrayLayout(*(int(p) for p in store_fields(records[0], "layout", 8)))
+        layout = TrayLayout(*(int(p) for p in store_fields(records[0], "layout", len(LAYOUT_KEYS))))
     except ValueError as exc:
         raise ValueError(f"malformed layout line: {exc}") from None
     refs = []

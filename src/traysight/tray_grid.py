@@ -157,14 +157,12 @@ def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
 
 
 def _accumulator(pixels: int) -> type:
-    """The smallest unsigned type that holds the sum of ``pixels`` pixels of 255.
+    """The smallest of uint16/uint32/uint64 that holds the sum of ``pixels`` pixels of 255.
 
     ``np.min_scalar_type`` gives the same type at several times the cost. Past
     uint64 it gives ``object``; no layout that large fits an image, so uint64 stands in.
     """
     top = 255 * pixels
-    if top < 2**8:
-        return np.uint8
     if top < 2**16:
         return np.uint16
     if top < 2**32:
@@ -180,8 +178,8 @@ def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     A grid sums each band's rows, then each slot's ``slot_w`` columns of those band sums, which
     keeps numpy's inner loops long; that second stage is an einsum, as ``sum(axis=2)`` over a
     few columns runs numpy's slow short-axis reduction. Each stage accumulates in the smallest
-    unsigned type that holds 255 times its pixel count, so no sum can wrap. Raises ValueError
-    unless the layout fits.
+    of uint16/uint32/uint64 that holds 255 times its pixel count, so no sum can wrap. Raises
+    ValueError unless the layout fits.
     """
     pixels = image.pixels
     dy, dx = pixels.strides

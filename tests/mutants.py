@@ -42,6 +42,9 @@ MUTANTS = [
      "[acc-roi-h258]"),
     ("mean-by-reciprocal", "tray_grid.py", "[total / area for", "[total * (1 / area) for",
      "test_presence.py::TestCalibrate::test_matches_crop_and_average_oracle"),
+    ("verdict-mean-by-reciprocal", "presence.py", "layout) / (layout.slot_w * layout.slot_h)",
+     "layout) * (1 / (layout.slot_w * layout.slot_h))",
+     "test_presence.py::TestInspectTray::test_matches_per_slot_reference_rule"),
     ("p6-luma-rint", "imaging.py", "np.floor(0.299 * r + 0.587 * g + 0.114 * b + 0.5)",
      "np.rint(0.299 * r + 0.587 * g + 0.114 * b)", "[p6-4x5]"),
     ("bins-from-one", "stats.py", "np.arange(256, dtype", "np.arange(1, 257, dtype",
@@ -51,6 +54,8 @@ MUTANTS = [
      f"{MEAN}non_integer_counts_rejected"),
     ("bound-x2", "stats.py", "> _MAX_COUNT", "> 2 * _MAX_COUNT", f"{MEAN}overflowing_counts_rejected"),
     ("bound-inclusive", "stats.py", "> _MAX_COUNT", ">= _MAX_COUNT", f"{MEAN}largest_safe_counts_exact"),
+    ("mean-no-astype", "stats.py", "counts = bins.astype(np.int64)", "counts = bins",
+     f"{MEAN}uint64_counts_summed_exactly"),
     ("precision-over-fn", "evaluation.py", "(cm.tp + cm.fp) if", "(cm.tp + cm.fn) if",
      f"{A}1_reference_metrics_reproduction"),
     ("tally-fn-fp-swapped", "evaluation.py", "fn=cells[0, 1], fp=cells[1, 0]", "fn=cells[1, 0], fp=cells[0, 1]",
@@ -78,6 +83,8 @@ MUTANTS = [
      "test_placement.py::TestModelStore::test_missing_line"),
     ("one-sample-std", "stats.py", "if len(xs) < 2:", "if len(xs) < 1:", "[socket-one-sample]"),
     ("touching-slots", "tray_grid.py", "slot_w > self.pitch_x:", "slot_w >= self.pitch_x:", "[slot-1x1]"),
+    ("gray-no-view", "imaging.py", "arr = arr.view()", "pass",
+     "test_imaging.py::TestGrayImage::test_shares_bytes_through_its_own_array"),
     ("rect-origin", "imaging.py", "if self.x < 0 or self.y < 0:", "if False:",
      "test_imaging.py::TestRect::test_rejects_negative_origin"),
     ("maxval", "imaging.py", "if maxval != 255:", "if False:", "[image-maxval-65535]"),

@@ -141,6 +141,13 @@ class TestGrayImage:
         src[0, 0] = 99
         assert img.pixels[0, 0] == 0
 
+    def test_shares_bytes_through_its_own_array(self):
+        src = np.frombuffer(b"\x01\x02\x03\x04", np.uint8).reshape(2, 2)
+        img = GrayImage(src)
+        src.shape = (1, 4)
+        assert img.pixels.shape == (2, 2)
+        assert np.shares_memory(img.pixels, src)
+
     @pytest.mark.parametrize(
         "src",
         [

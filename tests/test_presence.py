@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -97,6 +97,44 @@ class TestClassifySlot:
             assert classify_slot(u, o, w) is False
 
 
+AREA_15 = TrayLayout(2, 2, 1, 0, 6, 4, 5, 3)
+# Every slot sums to 1502: fourteen pixels of 100 and a top-left 102.
+AREA_15_IMAGE = np.full((7, 12), 100, np.uint8)
+AREA_15_IMAGE[0::4, 1::6] = 102
+
+
+@st.composite
+def reference_rule_cases(draw):
+    """An image, a layout that fits it (with or without a pixel to spare), outlier_k and
+    one reference pair per slot: around its reading, on its tie or outlier boundary, or random.
+
+    Slot areas 1, 8 and 16 keep every reading dyadic, so references on a 1/64 grid around it
+    land exactly on the tie or, for a power-of-two outlier_k, exactly on the outlier boundary.
+    Area 15 gives readings that are rounded quotients.
+    """
+    layout = draw(st.sampled_from([
+        TrayLayout(1, 1, 0, 0, 1, 1, 1, 1),
+        TrayLayout(2, 3, 1, 2, 5, 4, 4, 2),
+        TrayLayout(3, 2, 0, 1, 4, 6, 4, 4),
+        AREA_15,
+    ]))
+    overhang = draw(st.integers(0, 1))
+    outlier_k = draw(st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.01, 8.0))
+    last = slot_rect(layout, layout.slot_count - 1)
+    shape = (last.y + last.h + overhang, last.x + last.w + overhang)
+    image = GrayImage(draw(hnp.arrays(np.uint8, shape)))
+    pairs = []
+    for u in paper_means(image, layout):
+        d = draw(st.integers(1, 64 * 64)) / 64
+        sign = draw(st.sampled_from([1, -1]))
+        near = u + sign * outlier_k * d
+        pair = draw(st.sampled_from([(u + d, u - d), (near, near + sign * d), None]))
+        if pair is None or not all(0 <= v <= 255 for v in pair) or pair[0] == pair[1]:
+            pair = tuple(draw(st.lists(reference, min_size=2, max_size=2, unique=True)))
+        pairs.append(pair[::-1] if draw(st.booleans()) else pair)
+    return image, layout, outlier_k, pairs
+
+
 class TestInspectTray:
     def test_recovers_planted_occupancy(self):
         layout = TrayLayout(1, 5, 2, 2, 10, 10, 8, 8)
@@ -162,34 +200,15 @@ class TestInspectTray:
             == inspect_tray(base, layout, refs).bits
         )
 
-    # Slot areas 1, 8 and 16 keep every reading dyadic, so references on a
-    # 1/64 grid around it land exactly on the tie or, for a power-of-two
-    # outlier_k, exactly on the outlier boundary.
+    # The example puts each slot's references on its reading, the quotient
+    # 1502 / 15, and on the product 1502 * (1 / 15) one ulp below it, so
+    # every bit holds only if the verdict divides its sums by the area.
     @settings(deadline=None)
-    @given(
-        layout=st.sampled_from([
-            TrayLayout(1, 1, 0, 0, 1, 1, 1, 1),
-            TrayLayout(2, 3, 1, 2, 5, 4, 4, 2),
-            TrayLayout(3, 2, 0, 1, 4, 6, 4, 4),
-        ]),
-        overhang=st.integers(0, 1),
-        outlier_k=st.sampled_from([0.25, 1.0, 4.0]) | st.floats(0.01, 8.0),
-        data=st.data(),
-    )
-    def test_matches_per_slot_reference_rule(self, layout, overhang, outlier_k, data):
-        last = slot_rect(layout, layout.slot_count - 1)
-        shape = (last.y + last.h + overhang, last.x + last.w + overhang)
-        image = GrayImage(data.draw(hnp.arrays(np.uint8, shape)))
+    @given(reference_rule_cases())
+    @example((GrayImage(AREA_15_IMAGE), AREA_15, 1.0, [(1502 / 15, 1502 * (1 / 15))] * 4))
+    def test_matches_per_slot_reference_rule(self, case):
+        image, layout, outlier_k, pairs = case
         readings = paper_means(image, layout)
-        pairs = []
-        for u in readings:
-            d = data.draw(st.integers(1, 64 * 64)) / 64
-            sign = data.draw(st.sampled_from([1, -1]))
-            near = u + sign * outlier_k * d
-            pair = data.draw(st.sampled_from([(u + d, u - d), (near, near + sign * d), None]))
-            if pair is None or not all(0 <= v <= 255 for v in pair) or pair[0] == pair[1]:
-                pair = tuple(data.draw(st.lists(reference, min_size=2, max_size=2, unique=True)))
-            pairs.append(pair[::-1] if data.draw(st.booleans()) else pair)
         refs = make_refs(layout, pairs)
 
         result = inspect_tray(image, layout, refs, outlier_k=outlier_k)

@@ -46,6 +46,13 @@ class TestMeanIntensity:
     def test_largest_safe_counts_exact(self):
         assert mean_intensity([SAFE_COUNT] * 256) == 127.5
 
+    def test_uint64_counts_summed_exactly(self):
+        # uint64 against the int64 intensities would promote np.dot to float64.
+        bins = np.ones(256, dtype=np.uint64)
+        bins[255] = SAFE_COUNT
+        exact = (sum(range(255)) + 255 * SAFE_COUNT) / (255 + SAFE_COUNT)
+        assert mean_intensity(bins) == mean_intensity(bins.astype(np.int64)) == exact
+
     def test_equals_pixel_mean_of_image(self):
         # The cross-module link: histogram mean == arithmetic pixel mean, exactly.
         rng = np.random.default_rng(17)
