@@ -6,8 +6,9 @@ Two detectors built on the same scalar: the mean intensity of a region's
 calibrated reference; socket placements pass/fail a z-score tolerance
 band around the calibrated mean.
 
-The names below load their module on first use (PEP 562), so a CLI call
-imports only the modules its subcommand runs.
+The names below load their module on first use (PEP 562). A CLI call imports
+``presence`` and ``placement`` (its parser shows their defaults) and the modules
+they use, but ``evaluation`` and ``synthgen`` only for the subcommands that run them.
 """
 
 import os

@@ -93,26 +93,42 @@ def cmd_calibrate_presence(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    _check_record_id(args.tray_id, "--tray-id")
+def _emit(record, notes, code) -> int:
+    print(record)
+    for line in notes:
+        print(line, file=sys.stderr)
+    return code
+
+
+def _load_tray(args):
     refs = presence.load_presence_refs(_read_text(args.refs))
     layout = tray_grid.parse_layout(_read_text(args.layout)) if args.layout else refs.layout
-    image = imaging.load_gray_image(args.image)
-    result = presence.inspect_tray(image, layout, refs, outlier_k=args.outlier_k)
-    if args.map:
-        imaging.save_color_image(_render_map(image, layout, result), args.map)
-    print(f"PRESENCE {args.tray_id} {result.bitstring}")
-    for i in result.outliers:
-        print(f"WARN slot {i} outlier", file=sys.stderr)
+    return refs, layout, args.outlier_k
+
+
+def _inspect_frame(tray, tray_id, image_path, map_path=None):
+    # One frame against a _load_tray result: the record, its stderr lines and its exit code.
+    _check_record_id(tray_id, "--tray-id")
+    refs, layout, outlier_k = tray
+    image = imaging.load_gray_image(image_path)
+    result = presence.inspect_tray(image, layout, refs, outlier_k=outlier_k)
+    if map_path:  # written before the record is returned, so a failed write leaves no record
+        imaging.save_color_image(_render_map(image, layout, result), map_path)
     cells = result.bitstring.translate(_GRID_CHARS)
-    for start in range(0, len(cells), layout.cols):
-        print(cells[start : start + layout.cols], file=sys.stderr)
-    return 0
+    notes = [f"WARN slot {i} outlier" for i in result.outliers]
+    notes += [cells[start : start + layout.cols] for start in range(0, len(cells), layout.cols)]
+    return f"PRESENCE {tray_id} {result.bitstring}", notes, 0
+
+
+def cmd_inspect(args) -> int:
+    _check_record_id(args.tray_id, "--tray-id")
+    return _emit(*_inspect_frame(_load_tray(args), args.tray_id, args.image, args.map))
 
 
 def cmd_calibrate_placement(args) -> int:
     roi = _parse_roi(args.roi)
-    samples = [imaging.load_gray_image(p) for p in _expand_samples(args.samples)]
+    # One frame at a time; the paths are expanded at once, so a directory's errors come first.
+    samples = (imaging.load_gray_image(p) for p in _expand_samples(args.samples))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = placement.calibrate_placement(samples, roi, z=args.z, min_n=args.min_n)
@@ -123,19 +139,25 @@ def cmd_calibrate_placement(args) -> int:
     return 0
 
 
+def _load_model(args):
+    return placement.load_placement_model(_read_text(args.model))
+
+
+def _verify_frame(model, ident, image_path):
+    # One frame against a _load_model result, as _inspect_frame.
+    _check_record_id(ident, "--id")
+    verdict = placement.verify_placement(imaging.load_gray_image(image_path), model)
+    if verdict.correct:
+        return f"PLACEMENT {ident} OK", [], 0
+    return (
+        f"PLACEMENT {ident} NG value={verdict.value:.6f} "
+        f"mean={model.mean_value:.6f} threshold={verdict.threshold:.6f}"
+    ), [], 1
+
+
 def cmd_verify(args) -> int:
     _check_record_id(args.id, "--id")
-    model = placement.load_placement_model(_read_text(args.model))
-    image = imaging.load_gray_image(args.image)
-    verdict = placement.verify_placement(image, model)
-    if verdict.correct:
-        print(f"PLACEMENT {args.id} OK")
-        return 0
-    print(
-        f"PLACEMENT {args.id} NG value={verdict.value:.6f} "
-        f"mean={model.mean_value:.6f} threshold={verdict.threshold:.6f}"
-    )
-    return 1
+    return _emit(*_verify_frame(_load_model(args), args.id, args.image))
 
 
 def cmd_evaluate(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from ._fmt import format_decimal, format_store, parse_store, store_fields
 from .imaging import GrayImage, Rect
@@ -96,12 +96,12 @@ class PlacementVerdict:
 
 
 def calibrate_placement(
-    samples: Sequence[GrayImage],
+    samples: Iterable[GrayImage],
     roi: Rect,
     z: float = DEFAULT_Z,
     min_n: int = DEFAULT_MIN_N,
 ) -> PlacementModel:
-    """Build a PlacementModel from repeated correct-placement images.
+    """Build a PlacementModel from repeated correct-placement images, each read once in turn.
 
     Fewer than 2 samples is a hard error; 2 <= n < min_n succeeds but emits
     an UndersampledWarning.

@@ -31,7 +31,7 @@ __all__ = [
 
 _STORE_MAGIC = "TRAYSIGHT-PRESENCE"
 _STORE_VERSION = 1
-DEFAULT_OUTLIER_K = 4.0  # flag readings further than 4 reference separations from both
+DEFAULT_OUTLIER_K = 4.0  # at 4, no slot whose references are >= 51 apart can ever be flagged
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -73,7 +73,7 @@ class PresenceReferenceSet:
                 )
         with_ = np.array([ref.value_with for ref in refs])
         without = np.array([ref.value_without for ref in refs])
-        # The arrays inspect_tray reads; not fields, so repr, eq, hash and the store ignore them.
+        # The arrays the verdict reads; not fields, so repr, eq, hash and the store ignore them.
         object.__setattr__(self, "_columns", (with_, without, np.abs(with_ - without)))
 
 
@@ -117,6 +117,19 @@ def _nearest_reference(value, with_, without):
     return to_with < to_without, np.minimum(to_with, to_without, dtype=float)
 
 
+def _evidence(image, layout, refs):
+    """Every slot's reading, occupied bit and distance to the nearer reference, as arrays."""
+    if refs.layout != layout:
+        raise ValueError(
+            "reference set was calibrated against a different layout: "
+            f"{refs.layout.fields()} vs {layout.fields()}"
+        )
+    # Sums are integers below 2**53, so each quotient is the correctly rounded one of slot_means.
+    value = slot_sums(image, layout) / (layout.slot_w * layout.slot_h)
+    with_, without, _ = refs._columns
+    return (value, *_nearest_reference(value, with_, without))
+
+
 def classify_slot(value_unknown: float, value_with: float, value_without: float) -> bool:
     """Nearest-reference rule: occupied iff strictly closer to the with reference.
 
@@ -142,24 +155,16 @@ def inspect_tray(
     """Classify every slot of ``image`` against calibrated references.
 
     A slot is flagged (not reclassified) when its reading sits further than
-    outlier_k times the reference separation from both references, e.g. after
-    lighting drift.
+    outlier_k times the reference separation from both references. A reading lies
+    in [0, 255], so at k = 4 no slot whose references are >= 51 apart ever is.
     """
     if outlier_k <= 0 or not math.isfinite(outlier_k):
         raise ValueError(f"outlier_k must be finite and positive, got {outlier_k!r}")
     # References lie in [0, 255], so no separation exceeds 255 and no threshold overflows.
     if not math.isfinite(outlier_k * 255):
         raise ValueError(f"outlier_k times a separation of 255 must be finite, got {outlier_k!r}")
-    if refs.layout != layout:
-        raise ValueError(
-            "reference set was calibrated against a different layout: "
-            f"{refs.layout.fields()} vs {layout.fields()}"
-        )
-    # Sums are integers below 2**53, so each quotient is the correctly rounded one of slot_means.
-    value = slot_sums(image, layout) / (layout.slot_w * layout.slot_h)
-    with_, without, separation = refs._columns
-    occupied, nearer = _nearest_reference(value, with_, without)
-    flags = nearer > outlier_k * separation
+    _, occupied, nearer = _evidence(image, layout, refs)
+    flags = nearer > outlier_k * refs._columns[2]
     # A bool array's bytes are 0 and 1, one per slot.
     bitstring = occupied.tobytes().translate(_BIT_CHARS).decode("ascii")
     return OccupancyResult(bitstring, tuple(flags.nonzero()[0].tolist()))

@@ -27,14 +27,17 @@ G = "test_golden_cli.py::test_case_matches_its_golden_digest"
 A = "test_acceptance.py::test_criterion_"
 REFS = "test_presence.py::TestReferenceSetInvariants::test_"
 MEAN = "test_stats.py::TestMeanIntensity::test_"
-MAP = "    if args.map:\n        imaging.save_color_image(_render_map(image, layout, result), args.map)\n"
-RECORD = '    print(f"PRESENCE {args.tray_id} {result.bitstring}")\n'
+INSPECT = "_inspect_frame(_load_tray(args), args.tray_id, args.image"
+PER_FRAME = "test_cli.py::TestPerFrameJudges::test_each_frame_gives_its_single_shot_output"
 
 # (name, module under src/traysight, old text, new text, the node IDs under tests/ that kill it,
 # separated by spaces; "[case]" is that golden CLI case)
 MUTANTS = [
     # Verdict rules and the feature
     ("tie-occupied", "presence.py", "to_with < to_without,", "to_with <= to_without,", "[tie-constant]"),
+    ("evidence-tie-occupied", "presence.py", "    return (value, *_nearest_reference(value, with_, without))\n",
+     "    occupied, nearer = _nearest_reference(value, without, with_)\n    return value, ~occupied, nearer\n",
+     "[tie-constant] test_presence.py::TestInspectTray::test_matches_per_slot_reference_rule"),
     ("outlier-ge", "presence.py", "nearer > outlier_k", "nearer >= outlier_k", "[outlier-k-1]"),
     ("band-open", "placement.py", "deviation <= ", "deviation < ", "[socket-zero-variance]"),
     ("band-uint16", "tray_grid.py", "_accumulator(layout.slot_h))", "np.uint16)", "[acc-grid-h258]"),
@@ -71,6 +74,15 @@ MUTANTS = [
     ("with-nan", "presence.py", "if not 0 <= w <= 255:", "if w < 0 or w > 255:", f"{REFS}nan_with_rejected"),
     ("without-nan", "presence.py", "if not 0 <= o <= 255:", "if o < 0 or o > 255:",
      f"{REFS}non_finite_without_rejected"),
+    ("refs-keep-list", "presence.py", '        object.__setattr__(self, "slot_refs", refs)\n', "",
+     f"{REFS}list_built_set_is_hashable_and_equals_its_tuple_twin"),
+    ("scene-keep-list", "synthgen.py",
+     '        object.__setattr__(self, "occupancy", tuple(bool(b) for b in self.occupancy))\n', "",
+     "test_synthgen.py::TestSceneSpecValidation::test_int_occupancy_stored_as_a_tuple_of_bools"),
+    ("tally-unmapped", "evaluation.py", "zip(map(bool, predicted), map(bool, actual))", "zip(predicted, actual)",
+     "test_evaluation.py::TestTally::test_truthy_label_counts_as_true"),
+    ("lazy-name-unbound", "__init__.py", "    globals()[name] = value\n", "",
+     "test_package.py::TestLazyNames::test_a_name_is_bound_after_its_first_read"),
     ("slot-count", "presence.py", "if len(refs) != self.layout", "if False", f"{REFS}wrong_length_message"),
     ("slot-order", "presence.py", "if parts[1] != str(i):", "if False:",
      "test_presence.py::TestReferenceStore::test_out_of_order_slots"),
@@ -106,15 +118,18 @@ MUTANTS = [
     # CLI records, streams and exit codes
     ("calibrate-prints", "cli.py", "    refs = presence.calibrate_presence(",
      "    print(args.out)\n    refs = presence.calibrate_presence(", "[grid-00]"),
-    ("presence-record", "cli.py", 'f"PRESENCE {args.tray_id} {', 'f"PRESENCE {args.tray_id}  {', "[grid-00]"),
+    ("presence-record", "cli.py", 'f"PRESENCE {tray_id} {', 'f"PRESENCE {tray_id}  {', "[grid-00]"),
     ("bits-swapped", "presence.py", 'b"\\x00\\x01", b"01"', 'b"\\x00\\x01", b"10"', "[grid-00]"),
     ("grid-chars-swapped", "cli.py", '"01", ".#"', '"01", "#."', "[grid-00]"),
     ("grid-rows-by-rows", "cli.py", "len(cells), layout.cols", "len(cells), layout.rows", "[p6-4x5]"),
-    ("slot-warn-on-stdout", "cli.py", 'outlier", file=sys.stderr', 'outlier"', "[outlier-k-1]"),
+    ("notes-on-stdout", "cli.py", "print(line, file=sys.stderr)", "print(line)", "[outlier-k-1]"),
+    ("frame-drops-notes", "cli.py", "result.bitstring}\", notes, 0", "result.bitstring}\", [], 0",
+     f"{PER_FRAME} [grid-00]"),
     ("map-palette", "cli.py", "[EMPTY_COLOR, OCCUPIED_COLOR]", "[OCCUPIED_COLOR, EMPTY_COLOR]", "[grid-00]"),
     ("map-background", "cli.py", "= (90, 90, 90)", "= (90, 90, 91)", "[grid-00]"),
-    ("map-after-record", "cli.py", MAP + RECORD, RECORD + MAP, "[inspect-map-unwritable]"),
-    ("map-needs-layout", "cli.py", "if args.map:", "if args.map and args.layout:",
+    ("map-after-record", "cli.py", f"    return _emit(*{INSPECT}, args.map))\n",
+     f"    code = _emit(*{INSPECT}))\n    {INSPECT}, args.map)\n    return code\n", "[inspect-map-unwritable]"),
+    ("map-needs-layout", "cli.py", "args.image, args.map))", "args.image, args.layout and args.map))",
      "[inspect-layout-given-and-stored]"),
     ("layout-flag-ignored", "cli.py", "parse_layout(_read_text(args.layout)) if args.layout else refs.layout",
      "refs.layout", "[inspect-layout-mismatch]"),
@@ -124,8 +139,9 @@ MUTANTS = [
     ("min-n-ignored", "cli.py", "min_n=args.min_n", "min_n=placement.DEFAULT_MIN_N", "[socket-min-n-z]"),
     ("listed-sample-twice", "cli.py", "paths.append(p)", "paths += [p, p]", "[socket-file-list]"),
     ("roi-three-parts", "cli.py", "if len(parts) != 4:", "if len(parts) < 3:", "[socket-roi-three-parts]"),
-    ("placement-ok-record", "cli.py", '{args.id} OK"', '{args.id} ok"', "[socket-40x40]"),
-    ("ng-exit-0", "cli.py", "    return 1\n", "    return 0\n", "[socket-40x40]"),
+    ("placement-ok-record", "cli.py", '{ident} OK"', '{ident} ok"', "[socket-40x40]"),
+    ("ng-exit-0", "cli.py", "file=sys.stderr)\n    return code\n", "file=sys.stderr)\n    return 0\n", "[socket-40x40]"),
+    ("frame-ng-rc-0", "cli.py", "), [], 1\n", "), [], 0\n", f"{PER_FRAME} [socket-40x40]"),
     ("ng-threshold-digits", "cli.py", "{verdict.threshold:.6f}", "{verdict.threshold:.5f}", "[socket-40x40]"),
     ("evaluate-fields", "cli.py", "FN {cm.fn} FP {cm.fp}", "FP {cm.fp} FN {cm.fn}", "[evaluate-random]"),
     ("read-any-mode", "imaging.py",
@@ -141,6 +157,8 @@ MUTANTS = [
     ("value-error-uncaught", "cli.py", "(OSError, ValueError)", "OSError", "[layout-unknown-key]"),
     ("record-id-whitespace", "cli.py", "if value.split() != [value]:", "if not value:",
      "test_cli.py::TestMalformedInputFiles::test_bad_record_id_exit_2_naming_the_flag"),
+    ("silenced-fd-leaked", "cli.py", "            os.close(devnull)\n", "",
+     "test_cli.py::test_failed_flushes_in_process_leave_the_open_fds_unchanged"),
     ("record-unflushed", "cli.py", "        sys.stdout.flush()  #", "        #",
      "test_cli.py::TestStreamFailures::test_exit_code_and_streams[inspect-full-pipe-buffered]"),
 ]

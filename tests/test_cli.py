@@ -14,16 +14,18 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SRC, limit_memory, run, run_python
-from traysight import synthgen
+from traysight import cli, synthgen
 from traysight.cli import main
-from traysight.imaging import Rect, decode_pnm, save_gray_image
+from traysight.imaging import GrayImage, Rect, decode_pnm, save_gray_image
 from traysight.placement import PlacementModel, save_placement_model
 from traysight.synthgen import SceneSpec, generate_tray, parse_scene
 from traysight.tray_grid import TrayLayout
@@ -335,6 +337,104 @@ class TestInputKinds:
                        input=inputs.tray.read_bytes())
         code, out, err = run("inspect", *flags(options))
         assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="no /proc/self/fd or /dev/full")
+def test_failed_flushes_in_process_leave_the_open_fds_unchanged(working_options):
+    """A long-lived caller of ``main(argv)`` whose stdout keeps failing gains no descriptor per call."""
+    script = (
+        "import json, os\n"
+        "from traysight.cli import main\n"
+        "saved, full = os.dup(1), os.open('/dev/full', os.O_WRONLY)\n"
+        "codes, fds = [], []\n"
+        "for _ in range(4):\n"
+        "    os.dup2(full, 1)  # each failed call points fd 1 at devnull\n"
+        f"    codes.append(main({['verify', *flags(working_options['verify'])]!r}))\n"
+        "    fds.append(len(os.listdir('/proc/self/fd')))\n"
+        "os.dup2(saved, 1)\n"
+        "print(json.dumps([codes, fds]))\n"
+    )
+    # A buffered stdout, so that the second flush fails too and fd 1 is silenced.
+    codes, fds = run_python(script, PYTHONUNBUFFERED="")
+    assert codes == [2] * 4
+    assert fds == fds[:1] * 4
+
+
+def judged(judge, model, ident, image):
+    """What ``main`` makes of one per-frame call: (exit code, stdout, stderr)."""
+    try:
+        record, notes, code = judge(model, ident, image)
+    except (OSError, ValueError) as exc:
+        return 2, "", f"error: {exc}\n"
+    return code, record + "\n", "".join(line + "\n" for line in notes)
+
+
+class TestPerFrameJudges:
+    """A record command is a loader, run once per store, and a per-frame judge. Judged one by
+    one against one loaded store, each frame gives its own single-shot stdout, stderr and exit
+    code, so N frames judged in one process are N single-shot calls."""
+
+    # command: (loader, judge, id flag, exit code per frame)
+    JUDGES = {
+        "inspect": (cli._load_tray, cli._inspect_frame, "--tray-id", [0, 0, 2, 2, 2]),
+        "verify": (cli._load_model, cli._verify_frame, "--id", [0, 1, 2, 2]),
+    }
+
+    @pytest.fixture(scope="class")
+    def frames(self, inputs):
+        """Per command, (id, image) pairs: OK, outlier or NG, unreadable, bad id and, for inspect, missing."""
+        unreadable = inputs.out / "unreadable.pgm"
+        unreadable.write_bytes(b"P5\n9 9\n255\n\x00")
+        pixels = decode_pnm(inputs.tray.read_bytes()).pixels.copy()
+        pixels[2:12, 38:48] = 250  # slot 3, far from both references
+        outlier = inputs.out / "outlier.pgm"
+        save_gray_image(GrayImage(pixels), outlier)
+        roi_layout = TrayLayout(1, 1, ROI.x, ROI.y, ROI.w, ROI.h, ROI.w, ROI.h)
+        ng = inputs.out / "ng.pgm"
+        save_gray_image(generate_tray(SceneSpec(roi_layout, (True,), 150.0, 150.0, 2.0, 60.0, seed=5))[0], ng)
+        return {
+            "inspect": [("T1", inputs.tray), ("T2", outlier), ("T3", unreadable), ("T 4", inputs.tray),
+                        ("T5", inputs.out / "none.pgm")],
+            "verify": [("S1", inputs.samples / "s0000.pgm"), ("S2", ng), ("S3", unreadable), ("S 4", ng)],
+        }
+
+    @pytest.mark.parametrize("command", list(JUDGES))
+    def test_each_frame_gives_its_single_shot_output(self, working_options, frames, command):
+        load, judge, id_flag, codes = self.JUDGES[command]
+        options = dict(working_options[command])
+        if command == "inspect":
+            options["--outlier-k"] = 0.05  # 4 levels from both references flags a slot
+        # The loader reads the store options; the call's own --image and id are not read.
+        model = load(cli.build_parser().parse_args([command, *flags(options)]))
+        outputs = []
+        for ident, image in frames[command]:
+            outputs.append(judged(judge, model, ident, image))
+            assert outputs[-1] == run(command, *flags({**options, "--image": image, id_flag: ident}))
+        assert [code for code, _, _ in outputs] == codes
+        if command == "inspect":
+            assert outputs[0][2] == "#.#.#\n.#.#.\n#.#.#\n.#.#.\n"
+            assert outputs[1][2].startswith("WARN slot 3 outlier\n#.##")
+
+
+def test_calibrate_placement_holds_one_sample_frame_at_a_time(tmp_path):
+    """Ten sample frames of 202,400 px each: the traced peak stays below three frames,
+    where a list of every decoded frame would hold ten."""
+    height, width = 440, 460
+    sample_dir = tmp_path / "samples"
+    sample_dir.mkdir()
+    for i in range(10):
+        save_gray_image(GrayImage(np.full((height, width), 100 + i, dtype=np.uint8)), sample_dir / f"s{i}.pgm")
+    argv = ["calibrate-placement", "--samples", sample_dir, "--roi", "1,1,8,8", "--out", tmp_path / "model.txt"]
+    run(*argv)  # a first call's one-time allocations (lazy imports, compiled patterns) are not frames
+    tracemalloc.start()
+    try:
+        code, _, err = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 3 * height * width
 
 
 def test_record_commands_import_neither_synthgen_nor_evaluation(working_options):

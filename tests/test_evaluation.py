@@ -37,6 +37,9 @@ class TestTally:
         cm = tally([True], [False])
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (0, 0, 1, 0)
 
+    def test_truthy_label_counts_as_true(self):
+        assert tally([2], [1]) == ConfusionMatrix(tp=1, fn=0, fp=0, tn=0)
+
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(37)
         predicted = [bool(b) for b in rng.integers(0, 2, size=1000)]

@@ -77,6 +77,10 @@ class TestLazyNames:
         assert set(namespace) - {"__builtins__"} == set(traysight.__all__)
         assert all(namespace[name] is getattr(traysight, name) for name in traysight.__all__)
 
+    def test_a_name_is_bound_after_its_first_read(self):
+        assert traysight.GrayImage is traysight.imaging.GrayImage
+        assert "GrayImage" in vars(traysight)
+
     def test_dir_lists_every_name(self):
         assert set(traysight.__all__) <= set(dir(traysight))
 

@@ -333,6 +333,12 @@ class TestReferenceSetInvariants:
         None, lambda: one_slot_refs("1.5", 40.0), error=TypeError
     )
 
+    def test_list_built_set_is_hashable_and_equals_its_tuple_twin(self):
+        pairs = [(120.0, 40.0)] * small_layout().slot_count
+        listed = PresenceReferenceSet(small_layout(), [SlotReference(w, o) for w, o in pairs])
+        assert listed == make_refs(small_layout(), pairs)
+        assert hash(listed) == hash(make_refs(small_layout(), pairs))
+
     def test_range_ends_accepted(self):
         make_refs(TrayLayout(1, 2, 0, 0, 4, 4, 4, 4), [(255.0, 0.0), (0.0, 255.0)])
 

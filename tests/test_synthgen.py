@@ -98,6 +98,11 @@ class TestSceneSpecValidation:
     test_sigma_non_negative = rejects("sigma", lambda: spec_1x2(sigma=-1.0))
     test_seed_range = rejects("seed", lambda: spec_1x2(seed=-1), lambda: spec_1x2(seed=2**64))
 
+    def test_int_occupancy_stored_as_a_tuple_of_bools(self):
+        occupancy = spec_1x2(occupancy=[1, 0]).occupancy
+        assert occupancy == (True, False)
+        assert all(type(bit) is bool for bit in occupancy)
+
 
 class TestSceneManifest:
     def test_hand_written_manifest(self):
