@@ -18,7 +18,7 @@ def format_decimal(value: float) -> str:
     for exact round trips.
     """
     text = repr(float(value))
-    if "e" in text or "E" in text or "." not in text:
+    if "e" in text:
         return text
     head, _, frac = text.partition(".")
     return f"{head}.{frac.ljust(6, '0')}"

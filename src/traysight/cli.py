@@ -121,7 +121,6 @@ def _inspect_frame(tray, tray_id, image_path, map_path=None):
 
 
 def cmd_inspect(args) -> int:
-    _check_record_id(args.tray_id, "--tray-id")
     return _emit(*_inspect_frame(_load_tray(args), args.tray_id, args.image, args.map))
 
 
@@ -156,7 +155,6 @@ def _verify_frame(model, ident, image_path):
 
 
 def cmd_verify(args) -> int:
-    _check_record_id(args.id, "--id")
     return _emit(*_verify_frame(_load_model(args), args.id, args.image))
 
 

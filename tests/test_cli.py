@@ -475,9 +475,10 @@ class TestSynth:
         return path
 
     def test_writes_image_and_truth(self, inputs, tmp_path):
-        code, out, _ = run("synth", "--scene", inputs.scene, "--out-dir", tmp_path)
+        code, out, err = run("synth", "--scene", inputs.scene, "--out-dir", tmp_path)
         assert code == 0
         assert out == ""
+        assert err == f"wrote {tmp_path / 'tray.pgm'} and {tmp_path / 'truth.txt'}\n"
         img = decode_pnm((tmp_path / "tray.pgm").read_bytes())
         assert (img.width, img.height) == (2 + 5 * 12, 2 + 4 * 12)
         truth_lines = (tmp_path / "truth.txt").read_text().splitlines()

@@ -141,3 +141,8 @@ class TestLabelFiles:
             join_labels({"a": True}, {"a": True, "b": False})
         with pytest.raises(ValueError, match="only in predicted: c"):
             join_labels({"a": True, "c": False}, {"a": True})
+
+    test_join_names_five_ids_per_side = rejects(
+        "only in actual: a0, a1, a2, a3, a4; ids only in predicted: p0, p1, p2, p3, p4$",
+        lambda: join_labels({f"p{i}": True for i in range(7)}, {f"a{i}": True for i in range(7)}),
+    )

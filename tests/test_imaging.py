@@ -120,6 +120,7 @@ class TestGrayImage:
     test_rejects_bad_shapes = rejects(
         None,
         lambda: GrayImage(np.zeros((0, 4), dtype=np.uint8)),
+        lambda: GrayImage(np.zeros((4, 0), dtype=np.uint8)),
         lambda: GrayImage(np.zeros(4, dtype=np.uint8)),
     )
     test_rejects_out_of_range_values = rejects(
@@ -164,7 +165,7 @@ class TestGrayImage:
 
 
 class TestRect:
-    test_rejects_negative_origin = rejects(None, lambda: Rect(-1, 0, 2, 2))
+    test_rejects_negative_origin = rejects(None, lambda: Rect(-1, 0, 2, 2), lambda: Rect(0, -1, 2, 2))
     test_rejects_empty_size = rejects(None, lambda: Rect(0, 0, 0, 2), lambda: Rect(0, 0, 2, 0))
 
 
@@ -194,7 +195,7 @@ class TestToGray:
         assert to_gray(np.uint8(200), np.int64(100), np.int32(50)) == 124
 
     test_rejects_red_out_of_range = rejects(
-        "channel r", lambda: to_gray(-10, 0, 0), lambda: to_gray(300, 300, 300)
+        "channel r", lambda: to_gray(-10, 0, 0), lambda: to_gray(-1, 0, 0), lambda: to_gray(300, 300, 300)
     )
     test_rejects_non_integer_green = rejects(
         "channel g", lambda: to_gray(0, 2.5, 0), lambda: to_gray(0, np.float64(1.0), 0)
@@ -216,6 +217,11 @@ class TestCrop:
     test_out_of_bounds_names_rect_and_size = rejects(
         r"Rect\(x=3, y=3, w=2, h=2\).*4x4",
         lambda: crop(GrayImage(np.arange(16).reshape(4, 4)), Rect(3, 3, 2, 2)),
+    )
+    test_out_of_bounds_in_one_axis = rejects(
+        "does not fit",
+        lambda: crop(GrayImage(np.arange(16).reshape(4, 4)), Rect(1, 0, 4, 1)),
+        lambda: crop(GrayImage(np.arange(16).reshape(4, 4)), Rect(0, 1, 1, 4)),
     )
 
     def test_crop_copies_pixels(self):
@@ -326,7 +332,12 @@ class TestPnmCodec:
         None,
         lambda: encode_p6(np.zeros((2, 2), dtype=np.uint8)),
         lambda: encode_p6(np.zeros((2, 2, 3), dtype=np.int32)),
+        lambda: encode_p6(np.zeros((0, 2, 3), dtype=np.uint8)),
+        lambda: encode_p6(np.zeros((2, 0, 3), dtype=np.uint8)),
     )
+
+    def test_encode_p6_one_pixel(self):
+        assert encode_p6(np.full((1, 1, 3), 7, dtype=np.uint8)) == b"P6\n1 1\n255\n\x07\x07\x07"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,6 +1,8 @@
 """The package import: its BLAS thread cap, its lazily loaded names and its untouched GC;
-and the source text each mutant of ``tests/mutants.py`` replaces."""
+the source text each mutant and equivalent of ``tests/mutants.py`` replaces; and the
+one-point mutants ``tests/mutant_search.py`` enumerates."""
 
+import collections
 import importlib
 import os
 import pkgutil
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from helpers import SRC, run_python
-from mutants import MUTANTS
+from mutant_search import enumerate_mutants
+from mutants import EQUIVALENT, MUTANTS
 import traysight
 
 LINUX_TASKS = Path("/proc/self/task")
@@ -35,7 +38,7 @@ class TestBlasThreadCap:
 
     @needs_proc
     def test_numpy_loads_with_one_thread(self):
-        assert run_python(f"import json, os\nimport traysight\nprint(json.dumps({TASKS}))") == 1
+        assert run_python(f"import json, os\nimport traysight.imaging\nprint(json.dumps({TASKS}))") == 1
 
     @needs_proc
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs at least 2 CPUs")
@@ -82,7 +85,9 @@ class TestLazyNames:
         assert "GrayImage" in vars(traysight)
 
     def test_dir_lists_every_name(self):
-        assert set(traysight.__all__) <= set(dir(traysight))
+        # In a new process, so that no earlier read has bound a name yet.
+        listed = run_python("import json, traysight\nprint(json.dumps(dir(traysight)))")
+        assert set(traysight.__all__) | {"__version__"} <= set(listed)
 
     def test_unknown_name_raises_attribute_error(self):
         for removed in ("ci_halfwidth", "generate_socket_series"):
@@ -99,5 +104,41 @@ def test_module_star_import_binds_its_all(module):
 
 
 def test_each_mutants_old_text_occurs_once_in_its_module():
-    for name, module, old, _, _ in MUTANTS:
+    listed = [(name, module, old) for name, module, old, _, _ in MUTANTS]
+    for name, module, old in listed + [(reason, module, old) for module, old, _, reason in EQUIVALENT]:
         assert (SRC / "traysight" / module).read_text().count(old) == 1, name
+
+
+ENUMERATED = (
+    '"""Docstring: 1 < 2 - 3."""\n'
+    "from __future__ import annotations\n"
+    "LIMIT = 7\n"
+    "\n"
+    "\n"
+    "def clamp(a: 1 < 2, b=2) -> 3 + 4:\n"
+    '    """Docstring: a - b."""\n'
+    "    n: 5 * 6 = 7  # 8 + 9\n"
+    "    if a < b or a == 0:\n"
+    "        a += 1\n"
+    "    return abs(a - b) * n\n"
+)
+
+
+def test_enumerated_mutants_splice_one_span_each():
+    mutants, invalid = enumerate_mutants(ENUMERATED, "fixed.py")
+    assert invalid == 0
+    # Docstrings, annotations and the comment yield nothing; a literal operand is not negated.
+    assert collections.Counter(m.operator for m in mutants) == {
+        "relational": 2, "arithmetic": 3, "logical": 1, "abs-insert": 1, "abs-remove": 1,
+        "negate-insert": 2, "const+1": 5, "const-1": 5, "delete": 4,
+    }
+    data = ENUMERATED.encode()
+    assert sorted(data[m.start : m.end] for m in mutants if m.operator == "relational") == [b"<", b"=="]
+    for m in mutants:
+        compile(m.text, m.id, "exec")
+        text = m.text.encode()
+        assert text[: m.start] == data[: m.start], m.id
+        assert text[len(text) - (len(data) - m.end):] == data[m.end:], m.id
+        assert data.count(b"\n", 0, m.start) + 1 == m.line
+    assert [m.id for m in enumerate_mutants(ENUMERATED, "fixed.py")[0]] == [m.id for m in mutants]
+    assert len({m.id for m in mutants}) == len(mutants)

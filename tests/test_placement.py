@@ -67,6 +67,11 @@ class TestCalibrate:
             model = calibrate_placement([constant_image(118)] * 10, FULL_ROI)
         assert model.n == 10
 
+    def test_default_min_n_and_the_warnings_caller(self):
+        with pytest.warns(UndersampledWarning, match="n=29 < min_n=30") as caught:
+            calibrate_placement([constant_image(118)] * 29, FULL_ROI)
+        assert caught[0].filename == __file__
+
     test_single_sample_is_hard_error = rejects(
         "at least 2", lambda: calibrate_placement([constant_image(118)], FULL_ROI)
     )
@@ -142,7 +147,15 @@ class TestVerify:
 class TestModelInvariants:
     test_rejects_tiny_n = rejects("at least 2", lambda: sample_model(n=1))
     test_rejects_negative_std = rejects(None, lambda: sample_model(std_value=-1.0))
-    test_rejects_out_of_range_mean = rejects(None, lambda: sample_model(mean_value=300.0))
+    test_rejects_out_of_range_mean = rejects(
+        None,
+        lambda: sample_model(mean_value=300.0),
+        lambda: sample_model(mean_value=-0.5),
+        lambda: sample_model(mean_value=255.5),
+    )
+    test_rejects_bad_eps_floor = rejects(
+        "eps_floor must be finite", lambda: sample_model(eps_floor=-0.5), lambda: sample_model(eps_floor=math.nan)
+    )
     test_rejects_int_beyond_float_mean = rejects("outside", lambda: sample_model(mean_value=10**400))
     test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
     # mean 100 reaches 155 levels to 255, so any band of 155 or more accepts every frame.
@@ -153,6 +166,11 @@ class TestModelInvariants:
     test_rejects_eps_floor_at_reach = rejects(
         r"^tolerance band 155\.0 ", lambda: sample_model(std_value=0.0, eps_floor=155.0)
     )
+
+    def test_accepts_range_ends_and_a_band_inside_reach(self):
+        sample_model(mean_value=0.0)
+        sample_model(mean_value=255.0)
+        sample_model(std_value=0.0, eps_floor=154.5)  # mean 100 reaches 155 levels to 255
 
     def test_roi_layout_is_not_a_field(self):
         def model():
@@ -192,7 +210,7 @@ class TestModelStore:
         )
 
     test_missing_line = rejects(
-        "lines",
+        "must have 7 lines, got 6$",
         lambda: load_placement_model(
             "TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\nn 30\nmean 118.0\nstd 2.0\nz 1.96\n"
         ),

@@ -1,6 +1,7 @@
 """Presence calibration, nearest-reference classification, and the reference store."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -179,7 +180,15 @@ class TestInspectTray:
     test_outlier_k_threshold_overflow = rejects(
         "separation of 255 must be finite",
         lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=1e308),
+        lambda: inspect_tray(
+            constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=sys.float_info.max / 254.5
+        ),
     )
+
+    def test_largest_outlier_k_accepted(self):
+        # k * 255 is finite, and k * 256 would not be.
+        k = sys.float_info.max / 255.5
+        assert inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=k).outliers == ()
 
     def test_bits_ignore_pixels_outside_slots(self):
         layout = TrayLayout(1, 2, 2, 2, 10, 10, 6, 6)
@@ -287,9 +296,11 @@ class TestReferenceStore:
     test_malformed_slot_line = rejects(
         "malformed slot line",
         lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with x without 1\n"),
+        lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nSLOT 0 with 2 without 1\n"),
+        lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with 2 WITHOUT 1\n"),
     )
     test_out_of_order_slots = rejects(
-        "ascending",
+        "ascending without gaps: expected 0, got '1'$",
         lambda: load_presence_refs(
             "TRAYSIGHT-PRESENCE 1\n"
             "layout 1 2 0 0 4 4 4 4\n"
@@ -318,6 +329,9 @@ class TestReferenceSetInvariants:
         r"^slot 0: without reference (inf|nan) outside",
         lambda: one_slot_refs(120.0, math.inf),
         lambda: one_slot_refs(120.0, math.nan),
+    )
+    test_without_outside_range_rejected = rejects(
+        r"^slot 0: without reference", lambda: one_slot_refs(120.0, -0.5), lambda: one_slot_refs(120.0, 255.5)
     )
     test_both_out_of_range_reports_with = rejects(
         r"^slot 0: with reference -1\.0 outside", lambda: one_slot_refs(-1.0, 300.0)

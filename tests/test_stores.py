@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from traysight._fmt import format_decimal
 from traysight.imaging import Rect
 from traysight.placement import PlacementModel, load_placement_model, save_placement_model
 from traysight.presence import (
@@ -51,6 +52,12 @@ def test_envelope(store, other):
         assert str(info.value) == message
     assert load(text + "\n \n\t\n") == sample
     assert load(text.replace("\n", "\r\n")) == sample
+
+
+@pytest.mark.parametrize("value, text", [(0.5, "0.500000"), (255, "255.000000"), (1.5e-07, "1.5e-07"),
+                                         (1e-05, "1e-05"), (5e-324, "5e-324")])
+def test_format_decimal(value, text):
+    assert format_decimal(value) == text
 
 
 reals = st.floats(0, 255)

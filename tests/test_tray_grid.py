@@ -41,14 +41,32 @@ class TestParseLayout:
     )
     test_missing_key = rejects("missing.*rows", lambda: parse_layout(LAYOUT_TEXT.removeprefix("rows=4\n")))
     test_unknown_key = rejects("unknown.*depth", lambda: parse_layout(LAYOUT_TEXT + "\ndepth=3"))
-    test_non_integer_value = rejects("rows", lambda: parse_layout(LAYOUT_TEXT.replace("rows=4", "rows=4.5")))
+    test_non_integer_value = rejects(
+        "'rows' must be an integer", lambda: parse_layout(LAYOUT_TEXT.replace("rows=4", "rows=4.5"))
+    )
     test_duplicate_key = rejects("duplicate", lambda: parse_layout(LAYOUT_TEXT + "\nrows=4"))
     test_line_without_equals = rejects("key = value", lambda: parse_layout("rows 4"))
+    test_error_names_its_line = rejects("^line 2: expected", lambda: parse_layout("# comment\nrows 4"))
+    test_empty_key = rejects("^line 9: missing key before '='", lambda: parse_layout(LAYOUT_TEXT + "\n= 4"))
 
 
 class TestLayoutInvariants:
-    test_rejects_zero_rows = rejects(None, lambda: TrayLayout(0, 5, 10, 12, 60, 80, 50, 70))
-    test_rejects_negative_origin = rejects(None, lambda: TrayLayout(4, 5, -1, 12, 60, 80, 50, 70))
+    test_rejects_zero_rows = rejects(
+        None, lambda: TrayLayout(0, 5, 10, 12, 60, 80, 50, 70), lambda: TrayLayout(4, 0, 10, 12, 60, 80, 50, 70)
+    )
+    test_rejects_negative_origin = rejects(
+        None, lambda: TrayLayout(4, 5, -1, 12, 60, 80, 50, 70), lambda: TrayLayout(4, 5, 10, -1, 60, 80, 50, 70)
+    )
+    test_rejects_zero_pitch = rejects(
+        "pitch must be at least 1",
+        lambda: TrayLayout(4, 5, 10, 12, 0, 80, 50, 70),
+        lambda: TrayLayout(4, 5, 10, 12, 60, 0, 50, 70),
+    )
+    test_rejects_empty_slot = rejects(
+        "slot size must be at least 1x1",
+        lambda: TrayLayout(4, 5, 10, 12, 60, 80, 0, 70),
+        lambda: TrayLayout(4, 5, 10, 12, 60, 80, 50, 0),
+    )
     test_rejects_vertical_overlap = rejects("slot_h", lambda: TrayLayout(4, 5, 10, 12, 60, 80, 50, 90))
 
     def test_slot_count(self):
@@ -71,7 +89,7 @@ class TestSlotRect:
         assert slot_rect(layout_4x5(), 5) == Rect(10, 92, 50, 70)
 
     test_out_of_range = rejects(
-        "out of range", lambda: slot_rect(layout_4x5(), 20), lambda: slot_rect(layout_4x5(), -1)
+        r"out of range 0\.\.19$", lambda: slot_rect(layout_4x5(), 20), lambda: slot_rect(layout_4x5(), -1)
     )
 
     def test_scan_order_is_row_major(self):
