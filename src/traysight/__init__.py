@@ -12,16 +12,15 @@ they use, but ``evaluation`` and ``synthgen`` only for the subcommands that run 
 """
 
 import os
-import sys
 from importlib import import_module
 
 # traysight makes no BLAS call, but OpenBLAS starts a thread per CPU when numpy
-# loads, and those threads spin while numpy imports. If traysight is first to
-# import numpy and the caller has not chosen a thread count, load it with one
-# thread, then restore the caller's environment for child processes and any
-# BLAS library loaded later.
+# loads, and those threads spin while numpy imports. If the caller has not chosen
+# a thread count, import numpy with one thread (nothing loads if it already is),
+# then restore the caller's environment for child processes and any BLAS library
+# loaded later.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+if not any(v in os.environ for v in _BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy
@@ -61,4 +60,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return set(globals()) | set(__all__)  # dir() sorts it

@@ -44,9 +44,9 @@ def _parse_roi(text: str) -> imaging.Rect:
     if len(parts) != 4:
         raise ValueError(f"--roi must be x,y,w,h, got {text!r}")
     try:
-        x, y, w, h = (int(p.strip()) for p in parts)
+        x, y, w, h = (int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"--roi components must be integers, got {text!r}") from None
+        raise ValueError(f"--roi components must be integers, got {text!r}")
     return imaging.Rect(x, y, w, h)
 
 
@@ -184,7 +184,7 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     imaging.save_gray_image(image, out_dir / "tray.pgm")
-    labels = evaluation.format_labels((str(i), bit) for i, bit in enumerate(truth))
+    labels = evaluation.format_labels((i, bit) for i, bit in enumerate(truth))
     (out_dir / "truth.txt").write_text(labels, encoding="ascii")
     print(f"wrote {out_dir / 'tray.pgm'} and {out_dir / 'truth.txt'}", file=sys.stderr)
     return 0
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, metavar="IMG")
     p.add_argument("--layout", metavar="CFG",
                    help="must match the layout stored in REFS (default: that layout)")
-    p.add_argument("--refs", required=True, metavar="REFS")
+    p.add_argument("--refs", required=True)
     p.add_argument("--tray-id", required=True, metavar="ID")
     p.add_argument("--map", metavar="PPM", help="write a color occupancy map (P6)")
     p.add_argument("--outlier-k", type=float, default=presence.DEFAULT_OUTLIER_K, metavar="K",
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one socket image against the model")
     p.add_argument("--image", required=True, metavar="IMG")
-    p.add_argument("--model", required=True, metavar="MODEL")
-    p.add_argument("--id", required=True, metavar="ID")
+    p.add_argument("--model", required=True)
+    p.add_argument("--id", required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="confusion matrix and metrics from label files")

@@ -84,10 +84,9 @@ def parse_labels(text: str) -> dict[str, bool]:
     """Parse a ground-truth/predictions file: one '<id> <0|1>' record per line."""
     labels: dict[str, bool] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<id> <0|1>', got {raw!r}")
         ident, bit = parts
@@ -101,7 +100,7 @@ def parse_labels(text: str) -> dict[str, bool]:
 
 def format_labels(labels: Iterable[tuple[str, bool]]) -> str:
     """Inverse of parse_labels (modulo blank lines), from ``(id, bit)`` pairs."""
-    return "".join(f"{ident} {int(bool(bit))}\n" for ident, bit in labels)
+    return "".join(f"{ident} {int(bit)}\n" for ident, bit in labels)
 
 
 def join_labels(
@@ -117,5 +116,4 @@ def join_labels(
         if extra:
             problems.append(f"ids only in predicted: {', '.join(extra[:5])}")
         raise ValueError("label files do not match: " + "; ".join(problems))
-    ids = list(actual)
-    return [predicted[i] for i in ids], [actual[i] for i in ids]
+    return [predicted[i] for i in actual], [actual[i] for i in actual]

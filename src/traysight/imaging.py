@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class GrayImage:
     """Single-channel 8-bit image; ``pixels`` is a read-only (height, width) array.
 
@@ -62,7 +62,7 @@ class GrayImage:
             # Share the immutable memory through an array object the caller does not hold.
             arr = arr.view()
         else:
-            arr = arr.astype(np.uint8, copy=True)
+            arr = arr.astype(np.uint8)
             arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
@@ -141,7 +141,7 @@ def decode_pnm(data: bytes) -> GrayImage:
         raise ValueError(f"not a binary PGM/PPM (magic {magic!r})")
     header = _HEADER.match(data, 2)
     width, height, maxval = header.groups()
-    if not (width and height and maxval):
+    if not maxval:  # an empty group leaves every later one empty
         first = (width, height, maxval).index(b"")
         what = ("width", "height", "maxval")[first]
         raise ValueError(f"expected integer {what} at byte offset {header.start(first + 1)}")

@@ -105,7 +105,7 @@ def calibrate_presence(
     references coincide (the classifier could not separate the classes there).
     """
     pairs = zip(slot_means(with_image, layout), slot_means(without_image, layout))
-    return PresenceReferenceSet(layout, tuple(SlotReference(w, o) for w, o in pairs))
+    return PresenceReferenceSet(layout, (SlotReference(w, o) for w, o in pairs))
 
 
 def _nearest_reference(value, with_, without):
@@ -201,4 +201,4 @@ def load_presence_refs(text: str) -> PresenceReferenceSet:
             refs.append(SlotReference(float(parts[3]), float(parts[5])))
         except ValueError:
             raise ValueError(f"malformed slot line: {line!r}") from None
-    return PresenceReferenceSet(layout, tuple(refs))
+    return PresenceReferenceSet(layout, refs)

@@ -78,4 +78,4 @@ def parse_scene(text: str) -> SceneSpec:
     bits = values.pop("occupancy")
     if set(bits) - {"0", "1"}:
         raise ValueError(f"occupancy must be a string of 0/1, got {bits!r}")
-    return SceneSpec(layout=layout, occupancy=tuple(c == "1" for c in bits), **values)
+    return SceneSpec(layout=layout, occupancy=(c == "1" for c in bits), **values)

@@ -59,7 +59,8 @@ def limit_memory():
 
 
 def rejects(match, *calls, error=ValueError):
-    """A test that each of ``calls`` raises ``error`` with a message matching ``match``.
+    """A test that each of ``calls`` raises ``error`` with a message matching ``match``,
+    and shows no chained traceback ("During handling of the above exception ...").
 
     Assigned to a ``test_*`` name in a module or class body, each such line is one
     row of that owner's rejection table, and the name is the test's ID.
@@ -67,7 +68,8 @@ def rejects(match, *calls, error=ValueError):
 
     def test(*_):  # *_ takes the instance when the row sits in a class
         for call in calls:
-            with pytest.raises(error, match=match):
+            with pytest.raises(error, match=match) as info:
                 call()
+            assert info.value.__context__ is None or info.value.__suppress_context__
 
     return test

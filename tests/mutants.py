@@ -94,8 +94,6 @@ MUTANTS = [
      "test_synthgen.py::TestSceneSpecValidation::test_int_occupancy_stored_as_a_tuple_of_bools"),
     ("tally-unmapped", "evaluation.py", "zip(map(bool, predicted), map(bool, actual))", "zip(predicted, actual)",
      "test_evaluation.py::TestTally::test_truthy_label_counts_as_true"),
-    ("blas-cap-inverted", "__init__.py", '"numpy" not in sys.modules', '"numpy" in sys.modules',
-     "test_package.py::TestBlasThreadCap::test_numpy_loads_with_one_thread"),
     ("blas-cap-any-unset", "__init__.py", "any(v in os.environ", "any(v not in os.environ",
      "test_package.py::TestBlasThreadCap::test_numpy_loads_with_one_thread"),
     ("dir-only-bound", "__init__.py", "set(globals()) | set(__all__)", "set(globals()) & set(__all__)",
@@ -241,6 +239,66 @@ MUTANTS = [
      "test_cli.py::test_failed_flushes_in_process_leave_the_open_fds_unchanged"),
     ("record-unflushed", "cli.py", "        sys.stdout.flush()  #", "        #",
      "test_cli.py::TestStreamFailures::test_exit_code_and_streams[inspect-full-pipe-buffered]"),
+    # Guards, result types, errors and texts that only removing them showed unpinned
+    ("fmt-all-dropped", "_fmt.py", '__all__ = ["format_decimal", "format_store", "parse_store", "store_fields"]\n',
+     "", "test_package.py::test_module_star_import_binds_its_all[_fmt]"),
+    ("decimal-unconverted", "_fmt.py", "repr(float(value))", "repr(value)", "test_stores.py::test_format_decimal"),
+    ("blank-store-line-indexed", "_fmt.py", "if not parts or parts[0] != key:", "if parts[0] != key:",
+     "test_placement.py::TestModelStore::test_blank_line"),
+    ("std-nan-accepted", "placement.py", "if not math.isfinite(self.std_value) or self.std_value < 0:",
+     "if self.std_value < 0:", "test_placement.py::TestModelInvariants::test_rejects_nan_std"),
+    ("z-nan-accepted", "placement.py", "if not math.isfinite(self.z) or self.z <= 0:", "if self.z <= 0:",
+     "test_placement.py::TestModelInvariants::test_rejects_nan_z"),
+    ("layout-error-chained", "presence.py", 'line: {exc}") from None', 'line: {exc}")',
+     "test_presence.py::TestReferenceStore::test_malformed_layout_line"),
+    ("luma-unconverted", "imaging.py", "return int(_luma(r, g, b))", "return _luma(r, g, b)",
+     "test_imaging.py::TestToGray::test_known_weighting"),
+    ("magic-unconverted", "imaging.py", "magic = bytes(data[:2])", "magic = data[:2]",
+     "test_imaging.py::TestPnmCodec::test_bad_magic"),
+    ("p6-any-channels", "imaging.py", "arr.ndim != 3 or arr.shape[2] != 3 or", "arr.ndim != 3 or",
+     "test_imaging.py::TestPnmCodec::test_encode_p6_validates_input"),
+    ("p6-list-unconverted", "imaging.py", "arr = np.asarray(pixels)", "arr = pixels",
+     "test_imaging.py::TestPnmCodec::test_encode_p6_validates_input"),
+    ("p6-strided-payload", "imaging.py", "np.ascontiguousarray(arr).data", "arr.data",
+     "test_imaging.py::TestPnmCodec::test_encode_p6_of_a_strided_view"),
+    ("model-error-chained", "placement.py", 'store: {exc}") from None', 'store: {exc}")',
+     "test_placement.py::TestModelStore::test_wrong_key_order"),
+    ("with-keyword-unchecked", "presence.py", 'parts[2] != "with" or ', "",
+     "test_presence.py::TestReferenceStore::test_malformed_slot_line"),
+    ("slot-error-chained", "presence.py", 'line: {line!r}") from None', 'line: {line!r}")',
+     "test_presence.py::TestReferenceStore::test_malformed_slot_line"),
+    ("mean-total-unconverted", "stats.py", "total = int(counts.sum())", "total = counts.sum()",
+     f"{MEAN}single_bin_mass"),
+    ("samples-unconverted", "stats.py", "xs = [float(v) for v in values]", "xs = list(values)",
+     "test_stats.py::TestSampleMean::test_float32_samples_summed_in_double"),
+    ("blank-layout-line-kept", "tray_grid.py", 'line = raw.split("#", 1)[0].strip()', 'line = raw.split("#", 1)[0]',
+     f"{LP}comments_blank_lines_and_spacing"),
+    ("unknown-keys-unsorted", "tray_grid.py", "unknown = sorted(set(entries) - set(types))",
+     "unknown = set(entries) - set(types)", f"{LP}unknown_keys_sorted"),
+    ("value-error-chained", "tray_grid.py", 'got {entries[key]!r}") from None', 'got {entries[key]!r}")',
+     f"{LP}non_integer_value"),
+    ("all-unsorted", "__init__.py", "__all__ = sorted(_OWNER)", "__all__ = _OWNER",
+     "test_package.py::TestLazyNames::test_all_is_a_sorted_list"),
+    ("refs-mutable", "presence.py", "@dataclass(frozen=True)\nclass SlotReference", "@dataclass\nclass SlotReference",
+     "test_package.py::test_value_types_are_frozen[SlotReference]"),
+    ("gray-value-eq", "imaging.py", "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)",
+     "test_imaging.py::TestGrayImage::test_equality_is_identity"),
+    ("verdict-numpy-bool", "presence.py", "return bool(_nearest_reference(", "return (_nearest_reference(",
+     "test_presence.py::TestClassifySlot::test_numpy_scalars_give_a_bool"),
+    ("command-optional", "cli.py", 'dest="command", required=True)', 'dest="command")',
+     "test_cli.py::test_no_command_is_a_usage_error"),
+    ("command-unnamed", "cli.py", 'add_subparsers(dest="command", ', "add_subparsers(",
+     "test_cli.py::test_no_command_is_a_usage_error"),
+    ("separable-always-checked", "cli.py", "if args.require_separable and spec.mu_with == spec.mu_without:",
+     "if args.require_separable:", "test_cli.py::TestSynth::test_require_separable_passes_a_separable_scene"),
+    ("synth-out-dir-flat", "cli.py", "mkdir(parents=True, exist_ok=True)", "mkdir(exist_ok=True)",
+     "test_cli.py::TestSynth::test_deterministic_output"),
+    ("refs-locale-encoding", "cli.py", 'save_presence_refs(refs), encoding="ascii")', "save_presence_refs(refs))",
+     "test_cli.py::test_no_command_opens_a_text_file_in_the_locales_encoding"),
+    ("help-dropped", "cli.py", 'help="tray image with every slot occupied"', "help=None",
+     "test_cli.py::test_help_shows_each_description_and_metavar[calibrate-presence]"),
+    ("metavar-dropped", "cli.py", '"--out-dir", required=True, metavar="DIR"', '"--out-dir", required=True',
+     "test_cli.py::test_help_shows_each_description_and_metavar[synth]"),
 ]
 
 # (module under src/traysight, old text, new text, why no test can tell them apart): mutant_search.py
@@ -252,6 +310,18 @@ EQUIVALENT = [
      'abs(np.frombuffer(result.bitstring.encode("ascii"), np.uint8) - ord("0"))', "uint8 bits 0 and 1 are their abs"),
     ("cli.py", "slots[:, :, 1:] = slots[:, :, :1]", "slots[:, :, 0:] = slots[:, :, :1]",
      "a slot's top row already holds its colour; copying it onto itself"),
+    ("cli.py", "[EMPTY_COLOR, OCCUPIED_COLOR], dtype=np.uint8)", "[EMPTY_COLOR, OCCUPIED_COLOR])",
+     "an int64 palette casts to the same uint8 pixels, at eight times the bytes"),
+    ("cli.py", "print(message, file=sys.stderr, flush=True)", "print(message, file=sys.stderr)",
+     "the process's stderr is line-buffered (Python 3.9+), so the newline flushes it"),
+    ("imaging.py", "if not uint8 and not np.issubdtype(", "if not np.issubdtype(",
+     "uint8 is an integer dtype; the test spares every decoded frame the issubdtype call"),
+    ("imaging.py", "if not uint8 and (int(arr.min())", "if (int(arr.min())",
+     "uint8 pixels always lie in [0, 255]; the test spares every decoded frame two scans"),
+    ("imaging.py", "(int(arr.min()) < 0", "(arr.min() < 0",
+     "the numpy scalar compares the same; int() keeps that off numpy's scalar promotion rules (NEP 50)"),
+    ("imaging.py", "int(arr.max()) > 255", "arr.max() > 255",
+     "the numpy scalar compares the same; int() keeps that off numpy's scalar promotion rules (NEP 50)"),
     ("imaging.py", "have = len(data) - pos", "have = abs(len(data) - pos)",
      "pos <= len(data) past the separator check"),
     ("placement.py", "max(self.mean_value, 255 - self.mean_value)", "max(self.mean_value, abs(255 - self.mean_value))",
@@ -264,12 +334,23 @@ EQUIVALENT = [
      "abs of an abs"),
     ("placement.py", "n = int(fields[1][0])", "n = int(fields[1][-1])", "store_fields gives the one value asked for"),
     ("placement.py", "float(values[0]) for", "float(values[-1]) for", "store_fields gives the one value asked for"),
+    ("presence.py", "with_ = np.array([ref.value_with for ref in refs])", "with_ = [ref.value_with for ref in refs]",
+     "numpy would convert the list again in every verdict; the other column is an array, so results match"),
+    ("presence.py", "without = np.array([ref.value_without for ref in refs])",
+     "without = [ref.value_without for ref in refs]",
+     "numpy would convert the list again in every verdict; the other column is an array, so results match"),
     ("presence.py", "np.abs(with_ - without)", "np.abs(abs(with_ - without))", "abs of an abs"),
     ("presence.py", "to_with = abs(value - with_)", "to_with = abs(abs(value - with_))", "abs of an abs"),
     ("presence.py", "to_without = abs(value - without)", "to_without = abs(abs(value - without))", "abs of an abs"),
     ("presence.py", "flags.nonzero()[0]", "flags.nonzero()[-1]", "a 1-D array's nonzero() is a 1-tuple"),
     ("stats.py", "sum((x - mean) ** 2", "sum((abs(x - mean)) ** 2", "a square drops the sign"),
     ("stats.py", "/ (len(xs) - 1))", "/ (abs(len(xs) - 1)))", "there are at least 2 samples there"),
+    ("stats.py", "np.arange(256, dtype=np.int64)", "np.arange(256)",
+     "numpy's default integer is int64 here and with numpy 2; the dtype keeps it on numpy 1 under Windows"),
+    ("stats.py", "// int(_INTENSITIES.sum())", "// _INTENSITIES.sum()",
+     "an int64 bound compares the same; int() keeps that off numpy's scalar promotion rules (NEP 50)"),
+    ("stats.py", "top = int(bins.max())", "top = bins.max()",
+     "a numpy scalar compares the same; int() keeps that off numpy's scalar promotion rules (NEP 50)"),
     ("tray_grid.py", 'raw.split("#", 1)[0]', 'raw.split("#", 2)[0]', "only the text before the first '#' is kept"),
     ("tray_grid.py", "right = layout.origin_x + (layout.cols - 1)", "right = layout.origin_x + (abs(layout.cols - 1))",
      "cols >= 1"),
@@ -279,6 +360,8 @@ EQUIVALENT = [
      "last = slot_rect(layout, abs(layout.slot_count - 1))", "slot_count >= 1"),
     ("tray_grid.py", "span = (layout.cols - 1)", "span = (abs(layout.cols - 1))", "cols >= 1"),
     ("tray_grid.py", "0..{layout.slot_count - 1}", "0..{abs(layout.slot_count - 1)}", "slot_count >= 1"),
+    ("tray_grid.py", "rows.sum(axis=(1, 2), dtype=total)", "rows.sum(axis=(1, 2))",
+     "numpy sums uint8 in its default unsigned integer: the same exact sums in a wider accumulator"),
     # _accumulator: a wider accumulator gives the same exact sums at more cost (ROADMAP Baseline),
     # and 255 * pixels is never a power of two.
     ("tray_grid.py", "top = 255 * pixels", "top = 256 * pixels", "a wider accumulator, sooner"),

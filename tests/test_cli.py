@@ -437,6 +437,17 @@ def test_calibrate_placement_holds_one_sample_frame_at_a_time(tmp_path):
     assert peak < 3 * height * width
 
 
+def test_no_command_opens_a_text_file_in_the_locales_encoding(working_options):
+    # PEP 597: each text file opened without an explicit encoding warns, here as an error.
+    argvs = [[command, *flags(options)] for command, options in working_options.items()]
+    script = (
+        "import json, warnings\nfrom traysight.cli import main\n"
+        "warnings.simplefilter('error', EncodingWarning)\n"
+        f"print(json.dumps([main(argv) for argv in {argvs!r}]))"
+    )
+    assert run_python(script, PYTHONWARNDEFAULTENCODING="1") == [0] * len(argvs)
+
+
 def test_record_commands_import_neither_synthgen_nor_evaluation(working_options):
     """``inspect`` and ``verify`` as the console script runs them load no module they do not use,
     and freeze the objects made at import."""
@@ -487,8 +498,8 @@ class TestSynth:
         assert truth_lines[1] == "1 0"
 
     def test_deterministic_output(self, inputs, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
+        out_a = tmp_path / "a" / "out"  # missing parents are made
+        out_b = tmp_path / "b" / "out"
         assert run("synth", "--scene", inputs.scene, "--out-dir", out_a)[0] == 0
         assert run("synth", "--scene", inputs.scene, "--out-dir", out_b)[0] == 0
         assert (out_a / "tray.pgm").read_bytes() == (out_b / "tray.pgm").read_bytes()
@@ -499,6 +510,9 @@ class TestSynth:
                            "--require-separable")
         assert code == 2
         assert "not separable" in err
+
+    def test_require_separable_passes_a_separable_scene(self, inputs, tmp_path):
+        assert run("synth", "--scene", inputs.scene, "--out-dir", tmp_path, "--require-separable")[0] == 0
 
     def test_equal_means_allowed_without_flag(self, equal_means, tmp_path):
         assert run("synth", "--scene", equal_means, "--out-dir", tmp_path / "out")[0] == 0
@@ -552,3 +566,38 @@ class TestOptionInventory:
         required, optional = self.INVENTORY[command]
         assert set(re.findall(r"\[(-[\w-]+)", usage)) == optional
         assert set(re.findall(r"(?<![\w\[-])(--[\w-]+)", usage)) == required
+
+
+def test_no_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("traysight: error: the following arguments are required: command\n")
+
+
+HELP_TEXTS = {
+    "traysight": ["Histogram-based tray occupancy and socket placement inspection.",
+                  "build per-slot with/without references", "classify every slot of a tray image",
+                  "build the socket tolerance model", "check one socket image against the model",
+                  "confusion matrix and metrics from label files", "render a synthetic tray scene with ground truth"],
+    "calibrate-presence": ["--with IMG", "tray image with every slot occupied", "--without IMG",
+                           "tray image with every slot empty", "--layout CFG", "--out REFS"],
+    "inspect": ["--image IMG", "--layout CFG", "must match the layout stored in REFS (default: that layout)",
+                "--refs REFS", "--tray-id ID", "--map PPM", "write a color occupancy map (P6)", "--outlier-k K",
+                "flag readings further than K reference separations from both references"],
+    "calibrate-placement": ["--samples PATH", "sample images, or directories of .pgm/.ppm files",
+                            "--roi X,Y,W,H", "--out MODEL"],
+    "verify": ["--image IMG", "--model MODEL", "--id ID"],
+    "evaluate": ["--pred FILE", "--truth FILE"],
+    "synth": ["--scene MANIFEST", "--out-dir DIR", "fail if the scene's class means coincide"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXTS))
+def test_help_shows_each_description_and_metavar(capsys, monkeypatch, command):
+    # Wide enough that argparse breaks no line; whitespace is collapsed all the same.
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        main(["--help"] if command == "traysight" else [command, "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    assert [text for text in HELP_TEXTS[command] if text not in shown] == []

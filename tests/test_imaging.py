@@ -131,6 +131,11 @@ class TestGrayImage:
     def test_repr_gives_width_by_height(self):
         assert repr(GrayImage(np.zeros((2, 3), dtype=np.uint8))) == "GrayImage(3x2)"
 
+    def test_equality_is_identity(self):
+        img, same = GrayImage([[1, 2]]), GrayImage([[1, 2]])
+        assert img == img and img != same
+        assert len({img, same}) == 2
+
     def test_pixels_are_immutable(self):
         img = GrayImage([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
@@ -193,6 +198,7 @@ class TestToGray:
         # 0.299*200 + 0.587*100 + 0.114*50 = 124.2 -> 124
         assert to_gray(200, 100, 50) == 124
         assert to_gray(np.uint8(200), np.int64(100), np.int32(50)) == 124
+        assert type(to_gray(200, 100, 50)) is int
 
     test_rejects_red_out_of_range = rejects(
         "channel r", lambda: to_gray(-10, 0, 0), lambda: to_gray(-1, 0, 0), lambda: to_gray(300, 300, 300)
@@ -325,7 +331,9 @@ class TestPnmCodec:
         assert path.read_bytes() == encode(image)
 
     test_truncated_payload = rejects("16 bytes, have 15", lambda: decode_pnm(b"P5\n4 4\n255\n" + bytes(15)))
-    test_bad_magic = rejects("magic", lambda: decode_pnm(b"P3\n1 1\n255\n0"))
+    test_bad_magic = rejects(
+        r"magic b'P3'\)$", lambda: decode_pnm(b"P3\n1 1\n255\n0"), lambda: decode_pnm(bytearray(b"P3\n1 1\n255\n0"))
+    )
     test_non_integer_header = rejects("width at byte offset 3", lambda: decode_pnm(b"P5\nx 2\n255\n" + bytes(4)))
     test_zero_dimension = rejects("dimensions", lambda: decode_pnm(b"P5\n0 2\n255\n"))
     test_encode_p6_validates_input = rejects(
@@ -334,10 +342,16 @@ class TestPnmCodec:
         lambda: encode_p6(np.zeros((2, 2, 3), dtype=np.int32)),
         lambda: encode_p6(np.zeros((0, 2, 3), dtype=np.uint8)),
         lambda: encode_p6(np.zeros((2, 0, 3), dtype=np.uint8)),
+        lambda: encode_p6(np.zeros((2, 2, 4), dtype=np.uint8)),
+        lambda: encode_p6([[[0, 0, 0]]]),
     )
 
     def test_encode_p6_one_pixel(self):
         assert encode_p6(np.full((1, 1, 3), 7, dtype=np.uint8)) == b"P6\n1 1\n255\n\x07\x07\x07"
+
+    def test_encode_p6_of_a_strided_view(self):
+        rgb = np.arange(2 * 4 * 3, dtype=np.uint8).reshape(2, 4, 3)
+        assert encode_p6(rgb[:, ::2]) == encode_p6(rgb[:, ::2].copy())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,8 +1,9 @@
 """The package import: its BLAS thread cap, its lazily loaded names and its untouched GC;
-the source text each mutant and equivalent of ``tests/mutants.py`` replaces; and the
-one-point mutants ``tests/mutant_search.py`` enumerates."""
+its frozen value types; the source text each mutant and equivalent of ``tests/mutants.py``
+replaces; and the one-point mutants ``tests/mutant_search.py`` enumerates."""
 
 import collections
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import SRC, run_python
-from mutant_search import enumerate_mutants
+from mutant_search import REMOVAL, enumerate_mutants
 from mutants import EQUIVALENT, MUTANTS
 import traysight
 
@@ -74,6 +75,9 @@ class TestLazyNames:
         assert value.__module__.startswith("traysight.")
         assert getattr(importlib.import_module(value.__module__), name) is value
 
+    def test_all_is_a_sorted_list(self):
+        assert traysight.__all__ == sorted(traysight.__all__)
+
     def test_star_import_binds_every_name(self):
         namespace = {}
         exec("from traysight import *", namespace)
@@ -98,9 +102,34 @@ class TestLazyNames:
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(traysight.__path__)))
 def test_module_star_import_binds_its_all(module):
-    # A name left in a module's __all__ after its removal fails here; the package's
-    # own __all__ is TestLazyNames::test_star_import_binds_every_name.
-    exec(f"from traysight.{module} import *", {})
+    # Exactly __all__: a name left in it after its removal fails here, and so does a
+    # module that exports its imports. The package's own __all__ is
+    # TestLazyNames::test_star_import_binds_every_name; the CLI module declares none.
+    namespace = {}
+    exec(f"from traysight.{module} import *", namespace)
+    if module != "cli":
+        assert set(namespace) - {"__builtins__"} == set(importlib.import_module(f"traysight.{module}").__all__)
+
+
+VALUES = [
+    traysight.GrayImage([[0]]),
+    traysight.Rect(0, 0, 1, 1),
+    traysight.TrayLayout(1, 1, 0, 0, 1, 1, 1, 1),
+    traysight.SlotReference(1.0, 0.0),
+    traysight.PresenceReferenceSet(traysight.TrayLayout(1, 1, 0, 0, 1, 1, 1, 1), [traysight.SlotReference(1.0, 0.0)]),
+    traysight.OccupancyResult("1", ()),
+    traysight.PlacementModel(traysight.Rect(0, 0, 1, 1), 2, 100.0, 1.0),
+    traysight.PlacementVerdict(True, 100.0, 0.0, 1.96),
+    traysight.ConfusionMatrix(1, 0, 0, 1),
+    traysight.SceneSpec(traysight.TrayLayout(1, 1, 0, 0, 1, 1, 1, 1), (True,), 200.0, 50.0, 0.0, 90.0, 0),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_value_types_are_frozen(value):
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
 
 
 def test_each_mutants_old_text_occurs_once_in_its_module():
@@ -115,25 +144,48 @@ ENUMERATED = (
     "LIMIT = 7\n"
     "\n"
     "\n"
+    "class Pair:\n"
+    "    low: int = 0\n"
+    "    high = tuple(range(2))\n"
+    "\n"
+    "\n"
     "def clamp(a: 1 < 2, b=2) -> 3 + 4:\n"
     '    """Docstring: a - b."""\n'
     "    n: 5 * 6 = 7  # 8 + 9\n"
     "    if a < b or a == 0:\n"
     "        a += 1\n"
-    "    return abs(a - b) * n\n"
+    "    if n is None:\n"
+    "        raise ValueError(str(a).strip()) from None\n"
+    "    return abs(a - b) * round(n, ndigits=2)\n"
 )
 
 
 def test_enumerated_mutants_splice_one_span_each():
     mutants, invalid = enumerate_mutants(ENUMERATED, "fixed.py")
-    assert invalid == 0
-    # Docstrings, annotations and the comment yield nothing; a literal operand is not negated.
+    assert invalid == []
+    # Docstrings, annotations, the comment, the import, the class and its annotated field
+    # yield nothing; a literal operand is not negated.
     assert collections.Counter(m.operator for m in mutants) == {
-        "relational": 2, "arithmetic": 3, "logical": 1, "abs-insert": 1, "abs-remove": 1,
-        "negate-insert": 2, "const+1": 5, "const-1": 5, "delete": 4,
+        "relational": 3, "arithmetic": 3, "logical": 1, "abs-insert": 1, "abs-remove": 1,
+        "negate-insert": 2, "const+1": 8, "const-1": 8, "delete": 6,
+        "kw-remove": 1, "unwrap": 2, "method-remove": 1, "from-none-remove": 1, "operand-drop": 2,
+        "toplevel-delete": 2,
     }
     data = ENUMERATED.encode()
-    assert sorted(data[m.start : m.end] for m in mutants if m.operator == "relational") == [b"<", b"=="]
+    assert sorted(data[m.start : m.end] for m in mutants if m.operator == "relational") == [b"<", b"==", b"is"]
+    removals = collections.defaultdict(list)
+    for m in mutants:
+        if m.operator in REMOVAL:
+            text = m.text.encode()
+            removals[m.operator].append((data[m.start : m.end], text[m.start : len(text) - (len(data) - m.end)]))
+    assert removals == {
+        "kw-remove": [(b", ndigits=2", b"")],
+        "unwrap": [(b"tuple(range(2))", b"range(2)"), (b"str(a)", b"a")],
+        "method-remove": [(b"str(a).strip()", b"str(a)")],
+        "from-none-remove": [(b" from None", b"")],
+        "operand-drop": [(b"a < b or ", b""), (b" or a == 0", b"")],
+        "toplevel-delete": [(b"LIMIT = 7", b"pass"), (b"high = tuple(range(2))", b"pass")],
+    }
     for m in mutants:
         compile(m.text, m.id, "exec")
         text = m.text.encode()

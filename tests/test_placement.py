@@ -147,6 +147,7 @@ class TestVerify:
 class TestModelInvariants:
     test_rejects_tiny_n = rejects("at least 2", lambda: sample_model(n=1))
     test_rejects_negative_std = rejects(None, lambda: sample_model(std_value=-1.0))
+    test_rejects_nan_std = rejects("std_value must be finite", lambda: sample_model(std_value=math.nan))
     test_rejects_out_of_range_mean = rejects(
         None,
         lambda: sample_model(mean_value=300.0),
@@ -158,6 +159,7 @@ class TestModelInvariants:
     )
     test_rejects_int_beyond_float_mean = rejects("outside", lambda: sample_model(mean_value=10**400))
     test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
+    test_rejects_nan_z = rejects("z must be finite", lambda: sample_model(z=math.nan))
     # mean 100 reaches 155 levels to 255, so any band of 155 or more accepts every frame.
     test_rejects_huge_finite_band = rejects(
         r"^tolerance band 2e\+300 around mean 100\.0 covers", lambda: sample_model(z=1e300)
@@ -219,6 +221,12 @@ class TestModelStore:
         "expected 'roi",
         lambda: load_placement_model(
             "TRAYSIGHT-PLACEMENT 1\nn 30\nroi 0 0 4 4\nmean 118.0\nstd 2.0\nz 1.96\neps_floor 0.5\n"
+        ),
+    )
+    test_blank_line = rejects(
+        "^malformed placement store: expected 'n ...' line, got ''$",
+        lambda: load_placement_model(
+            "TRAYSIGHT-PLACEMENT 1\nroi 0 0 4 4\n\nmean 118.0\nstd 2.0\nz 1.96\neps_floor 0.5\n"
         ),
     )
     test_load_revalidates_invariants = rejects(

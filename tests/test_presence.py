@@ -80,6 +80,10 @@ class TestClassifySlot:
     def test_tie_breaks_to_empty(self):
         assert classify_slot(80, 120, 40) is False
 
+    def test_numpy_scalars_give_a_bool(self):
+        assert classify_slot(np.float64(110), np.float64(120), np.float64(40)) is True
+        assert classify_slot(np.float64(41), np.float64(120), np.float64(40)) is False
+
     def test_python_ints_beyond_int64(self):
         assert classify_slot(10**30 + 1, 10**30 + 2, 0) is True
 
@@ -276,6 +280,10 @@ class TestReferenceStore:
     test_header_only_store = rejects(
         "missing layout line", lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\n")
     )
+    test_malformed_layout_line = rejects(
+        r"^malformed layout line: 'layout' line must carry 8 value\(s\), got 2$",
+        lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1\n"),
+    )
     test_slot_count_mismatch = rejects(
         "slot-count mismatch",
         lambda: load_presence_refs(
@@ -298,6 +306,7 @@ class TestReferenceStore:
         lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with x without 1\n"),
         lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nSLOT 0 with 2 without 1\n"),
         lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 with 2 WITHOUT 1\n"),
+        lambda: load_presence_refs("TRAYSIGHT-PRESENCE 1\nlayout 1 1 0 0 4 4 4 4\nslot 0 WITH 2 without 1\n"),
     )
     test_out_of_order_slots = rejects(
         "ascending without gaps: expected 0, got '1'$",

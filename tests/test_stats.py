@@ -23,6 +23,7 @@ class TestMeanIntensity:
         bins = np.zeros(256, dtype=np.int64)
         bins[100] = 50
         assert mean_intensity(bins) == 100.0
+        assert type(mean_intensity(bins)) is float
 
     def test_symmetric_extremes(self):
         bins = np.zeros(256, dtype=np.int64)
@@ -67,6 +68,10 @@ class TestSampleMean:
 
     def test_small_set(self):
         assert sample_mean([1, 2, 3, 4]) == 2.5
+
+    def test_float32_samples_summed_in_double(self):
+        # In float32, 2**24 + 1 rounds back to 2**24.
+        assert sample_mean([np.float32(2**24), np.float32(1), np.float32(1)]) == (2**24 + 2) / 3
 
     test_empty_rejected = rejects("empty", lambda: sample_mean([]))
     test_non_finite_rejected = rejects("finite", lambda: sample_mean([1.0, float("nan")]))

@@ -1,5 +1,6 @@
 """The versioned ASCII envelope shared by the presence reference store and the placement model."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,7 +56,8 @@ def test_envelope(store, other):
 
 
 @pytest.mark.parametrize("value, text", [(0.5, "0.500000"), (255, "255.000000"), (1.5e-07, "1.5e-07"),
-                                         (1e-05, "1e-05"), (5e-324, "5e-324")])
+                                         (1e-05, "1e-05"), (5e-324, "5e-324"),
+                                         (np.float64(1.5), "1.500000")])
 def test_format_decimal(value, text):
     assert format_decimal(value) == text
 

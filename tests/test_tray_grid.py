@@ -28,7 +28,7 @@ class TestParseLayout:
 
     def test_comments_blank_lines_and_spacing(self):
         text = (
-            "# tray A\n\nrows = 4\ncols= 5\norigin_x =10\norigin_y=12  # px\n"
+            "# tray A\n\n \t\n  # indented\nrows = 4\ncols= 5\norigin_x =10\norigin_y=12  # px\n"
             "pitch_x=60\npitch_y=80\nslot_w=50\nslot_h=70\n"
         )
         assert parse_layout(text) == layout_4x5()
@@ -41,6 +41,10 @@ class TestParseLayout:
     )
     test_missing_key = rejects("missing.*rows", lambda: parse_layout(LAYOUT_TEXT.removeprefix("rows=4\n")))
     test_unknown_key = rejects("unknown.*depth", lambda: parse_layout(LAYOUT_TEXT + "\ndepth=3"))
+    test_unknown_keys_sorted = rejects(
+        r"unknown layout key\(s\): a, b, c, d, e, f$",
+        lambda: parse_layout(LAYOUT_TEXT + "\nf=1\ne=1\nd=1\nc=1\nb=1\na=1"),
+    )
     test_non_integer_value = rejects(
         "'rows' must be an integer", lambda: parse_layout(LAYOUT_TEXT.replace("rows=4", "rows=4.5"))
     )
