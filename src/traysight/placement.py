@@ -15,7 +15,7 @@ shrink toward zero as calibration grows.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -65,11 +65,11 @@ class PlacementModel:
             raise ValueError(f"model needs at least 2 calibration samples, got {self.n}")
         if not 0 <= self.mean_value <= 255:  # NaN and ±inf fail it too
             raise ValueError(f"mean_value {self.mean_value!r} outside [0, 255]")
-        if not math.isfinite(self.std_value) or self.std_value < 0:
+        if not 0 <= self.std_value <= sys.float_info.max:  # NaN, ±inf and ints beyond float range fail it
             raise ValueError(f"std_value must be finite and non-negative, got {self.std_value!r}")
-        if not math.isfinite(self.z) or self.z <= 0:
+        if not 0 < self.z <= sys.float_info.max:
             raise ValueError(f"z must be finite and positive, got {self.z!r}")
-        if not math.isfinite(self.eps_floor) or self.eps_floor < 0:
+        if not 0 <= self.eps_floor <= sys.float_info.max:
             raise ValueError(f"eps_floor must be finite and non-negative, got {self.eps_floor!r}")
         # A reading lies in [0, 255], so a band reaching both ends would accept every frame.
         if self.threshold >= max(self.mean_value, 255 - self.mean_value):
@@ -121,7 +121,7 @@ def calibrate_placement(
 
 def verify_value(value: float, model: PlacementModel) -> PlacementVerdict:
     """Apply the tolerance rule to an already-computed mean intensity."""
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, ±inf and ints beyond float range fail it
         raise ValueError(f"observed value must be finite, got {value!r}")
     deviation = abs(value - model.mean_value)
     threshold = model.threshold

@@ -9,7 +9,7 @@ flag, never change the bit.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +141,7 @@ def classify_slot(value_unknown: float, value_with: float, value_without: float)
         ("value_with", value_with),
         ("value_without", value_without),
     ):
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, ±inf and ints beyond float range fail it
             raise ValueError(f"{name} must be finite, got {value!r}")
     return bool(_nearest_reference(value_unknown, value_with, value_without)[0])
 
@@ -158,10 +158,10 @@ def inspect_tray(
     outlier_k times the reference separation from both references. A reading lies
     in [0, 255], so at k = 4 no slot whose references are >= 51 apart ever is.
     """
-    if outlier_k <= 0 or not math.isfinite(outlier_k):
+    if not 0 < outlier_k <= sys.float_info.max:
         raise ValueError(f"outlier_k must be finite and positive, got {outlier_k!r}")
     # References lie in [0, 255], so no separation exceeds 255 and no threshold overflows.
-    if not math.isfinite(outlier_k * 255):
+    if not outlier_k * 255 <= sys.float_info.max:
         raise ValueError(f"outlier_k times a separation of 255 must be finite, got {outlier_k!r}")
     _, occupied, nearer = _evidence(image, layout, refs)
     flags = nearer > outlier_k * refs._columns[2]

@@ -43,7 +43,10 @@ def mean_intensity(hist) -> float:
 
 
 def _as_floats(values: Sequence[float]) -> list[float]:
-    xs = [float(v) for v in values]
+    try:
+        xs = [float(v) for v in values]
+    except OverflowError:  # float() of an int beyond float range
+        raise ValueError("sample values must be finite, got an int beyond float range") from None
     for x in xs:
         if not math.isfinite(x):
             raise ValueError(f"sample values must be finite, got {x!r}")

@@ -9,7 +9,7 @@ background mean, everything rounded and clamped to [0, 255]. The same spec
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +51,9 @@ class SceneSpec:
             value = getattr(self, name)
             if not 0 <= value <= 255:  # NaN and ±inf fail it too
                 raise ValueError(f"{name} must lie in [0, 255], got {value!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
+        if not 0 <= self.sigma <= sys.float_info.max:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma!r}")
-        if not 0 <= self.seed < 2**64:
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

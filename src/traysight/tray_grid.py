@@ -156,30 +156,16 @@ def slot_grid(array: np.ndarray, layout: TrayLayout) -> np.ndarray:
     )
 
 
-def _accumulator(pixels: int) -> type:
-    """The smallest of uint16/uint32/uint64 that holds the sum of ``pixels`` pixels of 255.
-
-    ``np.min_scalar_type`` gives the same type at several times the cost. Past
-    uint64 it gives ``object``; no layout that large fits an image, so uint64 stands in.
-    """
-    top = 255 * pixels
-    if top < 2**16:
-        return np.uint16
-    if top < 2**32:
-        return np.uint32
-    return np.uint64
-
-
 def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
-    """Every slot's exact pixel sum, in slot-index order, as a 1-D unsigned array.
+    """Every slot's exact pixel sum, in slot-index order, as a 1-D ``np.uint64`` array.
 
     Both plans read one ``(rows, slot_h, span)`` view: each slot row's ``slot_h`` image rows
     across the grid's whole width. A one-slot layout (a socket ROI) sums it in one reduction.
     A grid sums each band's rows, then each slot's ``slot_w`` columns of those band sums, which
     keeps numpy's inner loops long; that second stage is an einsum, as ``sum(axis=2)`` over a
-    few columns runs numpy's slow short-axis reduction. Each stage accumulates in the smallest
-    of uint16/uint32/uint64 that holds 255 times its pixel count, so no sum can wrap. Raises
-    ValueError unless the layout fits.
+    few columns runs numpy's slow short-axis reduction. The band stage sums in uint16 when
+    255 * slot_h fits it, the fastest exact accumulator, and in uint64 otherwise; every total
+    sums in uint64, so no sum can wrap. Raises ValueError unless the layout fits.
     """
     pixels = image.pixels
     dy, dx = pixels.strides
@@ -187,15 +173,14 @@ def slot_sums(image: GrayImage, layout: TrayLayout) -> np.ndarray:
     rows = _view(
         pixels, _origin(pixels, layout), (layout.rows, layout.slot_h, span), (layout.pitch_y * dy, dy, dx)
     )
-    total = _accumulator(layout.slot_h * layout.slot_w)
     if layout.slot_count == 1:
-        return rows.sum(axis=(1, 2), dtype=total)
-    bands = rows.sum(axis=1, dtype=_accumulator(layout.slot_h))
+        return rows.sum(axis=(1, 2), dtype=np.uint64)
+    bands = rows.sum(axis=1, dtype=np.uint16 if 255 * layout.slot_h < 2**16 else np.uint64)
     band_y, band_x = bands.strides
     cells = _view(
         bands, 0, (layout.rows, layout.cols, layout.slot_w), (band_y, layout.pitch_x * band_x, band_x)
     )
-    return np.einsum("rcw->rc", cells, dtype=total).ravel()
+    return np.einsum("rcw->rc", cells, dtype=np.uint64).ravel()
 
 
 def slot_means(image: GrayImage, layout: TrayLayout) -> list[float]:

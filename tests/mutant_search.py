@@ -37,8 +37,8 @@ module's own text at its node's offsets, so every other byte is unchanged; one
 that does not compile is dropped and counted as invalid. A mutant whose text
 equals that of an ``EQUIVALENT`` entry of ``mutants.py`` is not run. Every
 other mutant runs on a temporary copy of DIR (``mutants.run``) with ``pytest -x``
-over the mutated module's own test file (the golden corpus for ``cli.py``), then
-``test_golden_cli.py`` and ``test_acceptance.py``, then the rest,
+over the mutated module's own test file (for ``cli.py``, the golden corpus and then
+``test_cli.py``'s parser tests), then ``test_golden_cli.py`` and ``test_acceptance.py``, then the rest,
 ``min(2, os.cpu_count())`` at a time. A mutant is killed when pytest fails, and
 killed by timeout past four times one unmutated run. The script prints each
 survivor and each timed-out mutant as ``module:line``, its operator and a unified
@@ -66,6 +66,10 @@ TEXT_CHECK = "tests/test_package.py::test_each_mutants_old_text_occurs_once_in_i
 # The golden corpus kills most cli.py mutants in about a second; test_cli.py takes over ten.
 OWN_TESTS = {"__init__.py": "test_package.py", "_fmt.py": "test_stores.py", "cli.py": "test_golden_cli.py"}
 FIRST_TESTS = ("test_golden_cli.py", "test_acceptance.py")
+# The parser tests of test_cli.py kill most of cli.py's keyword removals in a few seconds, so they run
+# right after the golden corpus, and the rest of test_cli.py after the acceptance tests.
+PARSER_TESTS = ("TestOptionInventory", "test_help_shows_each_description_and_metavar",
+                "test_no_command_is_a_usage_error")
 
 COMPARE_SWAPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "==",
                  ast.In: "not in", ast.NotIn: "in", ast.Is: "is not", ast.IsNot: "is"}
@@ -258,12 +262,34 @@ def enumerate_mutants(source: str, module: str = "<source>") -> tuple[list, list
     return mutants, invalid
 
 
+def top_level_tests(path: Path) -> list:
+    """The node IDs of a test file's top-level test classes, functions and assigned tests, in file order."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        targets = [node] if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else getattr(node, "targets", [])
+        names += [getattr(target, "name", getattr(target, "id", "")) for target in targets]
+    return [f"tests/{path.name}::{name}" for name in names if name.startswith(("Test", "test_"))]
+
+
 def ordered_tests(root: Path, module: str) -> list:
-    """The test files under ``root/tests``, the mutated module's own first, then the golden and acceptance tests."""
+    """The tests under ``root/tests``: the mutated module's own file first, then the golden and acceptance tests.
+
+    For ``cli.py``, test_cli.py's parser tests come right after the golden corpus, and its other
+    tests after the acceptance tests, each as a node ID: pytest runs a file's nodes in the order of
+    its arguments only when no argument names the whole file.
+    """
     own = OWN_TESTS.get(module, f"test_{module}")
     names = sorted(path.name for path in (root / "tests").glob("test_*.py"))
     first = [name for name in (own, *FIRST_TESTS) if name in names]
-    return [f"tests/{name}" for name in dict.fromkeys(first + names)]
+    files = [f"tests/{name}" for name in dict.fromkeys(first + names)]
+    if module != "cli.py":
+        return files
+    cli_tests = top_level_tests(root / "tests" / "test_cli.py")
+    parser = [f"tests/test_cli.py::{name}" for name in PARSER_TESTS]
+    ordered = [files[0], *parser]
+    for path in files[1:]:
+        ordered += [node for node in cli_tests if node not in parser] if path == "tests/test_cli.py" else [path]
+    return ordered
 
 
 def is_equivalent(mutant: Mutant, original: str) -> bool:

@@ -47,9 +47,12 @@ MUTANTS = [
      "[tie-constant] test_presence.py::TestInspectTray::test_matches_per_slot_reference_rule"),
     ("outlier-ge", "presence.py", "nearer > outlier_k", "nearer >= outlier_k", "[outlier-k-1]"),
     ("band-open", "placement.py", "deviation <= ", "deviation < ", "[socket-zero-variance]"),
-    ("band-uint16", "tray_grid.py", "_accumulator(layout.slot_h))", "np.uint16)", "[acc-grid-h258]"),
-    ("sums-uint16", "tray_grid.py", "= _accumulator(layout.slot_h * layout.slot_w)", "= np.uint16",
-     "[acc-roi-h258]"),
+    ("band-uint16", "tray_grid.py", "np.uint16 if 255 * layout.slot_h < 2**16 else np.uint64)", "np.uint16)",
+     "[acc-grid-h258]"),
+    ("sums-uint16", "tray_grid.py", "axis=(1, 2), dtype=np.uint64)", "axis=(1, 2), dtype=np.uint16)",
+     "[acc-roi-h258] test_tray_grid.py::TestSlotMeans::test_sums_are_exact_unsigned_integers"),
+    ("cell-sums-uint32", "tray_grid.py", "cells, dtype=np.uint64)", "cells, dtype=np.uint32)",
+     "test_tray_grid.py::TestSlotMeans::test_sums_are_exact_unsigned_integers"),
     ("mean-by-reciprocal", "tray_grid.py", "[total / area for", "[total * (1 / area) for",
      "test_presence.py::TestCalibrate::test_matches_crop_and_average_oracle"),
     ("verdict-mean-by-reciprocal", "presence.py", "layout) / (layout.slot_w * layout.slot_h)",
@@ -107,9 +110,9 @@ MUTANTS = [
      "test_presence.py::TestReferenceStore::test_malformed_slot_line"),
     ("slot-order-message", "presence.py", "got {parts[1]!r}", "got {parts[0]!r}",
      "test_presence.py::TestReferenceStore::test_out_of_order_slots"),
-    ("outlier-k-times-256", "presence.py", "outlier_k * 255)", "outlier_k * 256)",
+    ("outlier-k-times-256", "presence.py", "outlier_k * 255 <=", "outlier_k * 256 <=",
      "test_presence.py::TestInspectTray::test_largest_outlier_k_accepted"),
-    ("outlier-k-times-254", "presence.py", "outlier_k * 255)", "outlier_k * 254)",
+    ("outlier-k-times-254", "presence.py", "outlier_k * 255 <=", "outlier_k * 254 <=",
      "test_presence.py::TestInspectTray::test_outlier_k_threshold_overflow"),
     ("slot-order", "presence.py", "if parts[1] != str(i):", "if False:",
      "test_presence.py::TestReferenceStore::test_out_of_order_slots"),
@@ -122,7 +125,7 @@ MUTANTS = [
      "test_placement.py::TestModelInvariants::test_rejects_out_of_range_mean"),
     ("mean-below-255", "placement.py", "self.mean_value <= 255:", "self.mean_value < 255:",
      "test_placement.py::TestModelInvariants::test_accepts_range_ends_and_a_band_inside_reach"),
-    ("eps-floor-unchecked", "placement.py", "if not math.isfinite(self.eps_floor) or self.eps_floor < 0:", "if False:",
+    ("eps-floor-unchecked", "placement.py", "if not 0 <= self.eps_floor <= sys.float_info.max:", "if False:",
      "test_placement.py::TestModelInvariants::test_rejects_bad_eps_floor"),
     ("reach-from-254", "placement.py", "255 - self.mean_value)", "254 - self.mean_value)",
      "test_placement.py::TestModelInvariants::test_accepts_range_ends_and_a_band_inside_reach"),
@@ -180,7 +183,7 @@ MUTANTS = [
     ("extra-ids-four", "evaluation.py", "extra[:5]", "extra[:4]",
      "test_evaluation.py::TestLabelFiles::test_join_names_five_ids_per_side"),
     ("label-ids-unjoined", "evaluation.py", "if missing or extra:", "if False:", "[evaluate-mismatched-ids]"),
-    ("synth-sigma", "synthgen.py", "or self.sigma < 0:", "or False:", "[synth-sigma-negative]"),
+    ("synth-sigma", "synthgen.py", "not 0 <= self.sigma <=", "not self.sigma <=", "[synth-sigma-negative]"),
     ("synth-reworded", "synthgen.py", "must lie in", "must be in", "[synth-mu-with-above-255]"),
     ("pnm-maxval-254", "imaging.py", '\\n255\\n".encode', '\\n254\\n".encode', "[grid-00]"),
     # Stores
@@ -245,9 +248,9 @@ MUTANTS = [
     ("decimal-unconverted", "_fmt.py", "repr(float(value))", "repr(value)", "test_stores.py::test_format_decimal"),
     ("blank-store-line-indexed", "_fmt.py", "if not parts or parts[0] != key:", "if parts[0] != key:",
      "test_placement.py::TestModelStore::test_blank_line"),
-    ("std-nan-accepted", "placement.py", "if not math.isfinite(self.std_value) or self.std_value < 0:",
+    ("std-nan-accepted", "placement.py", "if not 0 <= self.std_value <= sys.float_info.max:",
      "if self.std_value < 0:", "test_placement.py::TestModelInvariants::test_rejects_nan_std"),
-    ("z-nan-accepted", "placement.py", "if not math.isfinite(self.z) or self.z <= 0:", "if self.z <= 0:",
+    ("z-nan-accepted", "placement.py", "if not 0 < self.z <= sys.float_info.max:", "if self.z <= 0:",
      "test_placement.py::TestModelInvariants::test_rejects_nan_z"),
     ("layout-error-chained", "presence.py", 'line: {exc}") from None', 'line: {exc}")',
      "test_presence.py::TestReferenceStore::test_malformed_layout_line"),
@@ -299,6 +302,17 @@ MUTANTS = [
      "test_cli.py::test_help_shows_each_description_and_metavar[calibrate-presence]"),
     ("metavar-dropped", "cli.py", '"--out-dir", required=True, metavar="DIR"', '"--out-dir", required=True',
      "test_cli.py::test_help_shows_each_description_and_metavar[synth]"),
+    # Ints beyond float range and non-integer seeds
+    ("classify-int-overflow", "presence.py", "if not abs(value) <=", "if not abs(float(value)) <=",
+     "test_presence.py::TestClassifySlot::test_non_finite_rejected"),
+    ("outlier-k-int-overflow", "presence.py", "if not 0 < outlier_k <=", "if not 0 < float(outlier_k) <=",
+     "test_presence.py::TestInspectTray::test_invalid_outlier_k"),
+    ("verify-int-overflow", "placement.py", "if not abs(value) <=", "if not abs(float(value)) <=",
+     "test_placement.py::TestVerify::test_non_finite_value_rejected"),
+    ("samples-overflow-uncaught", "stats.py", "except OverflowError:", "except ZeroDivisionError:",
+     "test_stats.py::TestSampleMean::test_non_finite_rejected"),
+    ("seed-any-number", "synthgen.py", "isinstance(self.seed, (int, np.integer)) and ", "",
+     "test_synthgen.py::TestSceneSpecValidation::test_seed_range"),
 ]
 
 # (module under src/traysight, old text, new text, why no test can tell them apart): mutant_search.py
@@ -360,23 +374,18 @@ EQUIVALENT = [
      "last = slot_rect(layout, abs(layout.slot_count - 1))", "slot_count >= 1"),
     ("tray_grid.py", "span = (layout.cols - 1)", "span = (abs(layout.cols - 1))", "cols >= 1"),
     ("tray_grid.py", "0..{layout.slot_count - 1}", "0..{abs(layout.slot_count - 1)}", "slot_count >= 1"),
-    ("tray_grid.py", "rows.sum(axis=(1, 2), dtype=total)", "rows.sum(axis=(1, 2))",
-     "numpy sums uint8 in its default unsigned integer: the same exact sums in a wider accumulator"),
-    # _accumulator: a wider accumulator gives the same exact sums at more cost (ROADMAP Baseline),
-    # and 255 * pixels is never a power of two.
-    ("tray_grid.py", "top = 255 * pixels", "top = 256 * pixels", "a wider accumulator, sooner"),
-    ("tray_grid.py", "    if top < 2**16:\n        return np.uint16\n", "    pass\n", "no uint16 rung"),
-    ("tray_grid.py", "        return np.uint16\n", "        pass\n", "no uint16 rung"),
-    ("tray_grid.py", "if top < 2**16:", "if top <= 2**16:", "255 * pixels is never 2**16"),
-    ("tray_grid.py", "if top < 2**16:", "if top < 1**16:", "no uint16 rung"),
-    ("tray_grid.py", "if top < 2**16:", "if top < 2*16:", "a narrower uint16 rung"),
-    ("tray_grid.py", "if top < 2**16:", "if top < 2**15:", "a narrower uint16 rung"),
-    ("tray_grid.py", "    if top < 2**32:\n        return np.uint32\n", "    pass\n", "no uint32 rung"),
-    ("tray_grid.py", "        return np.uint32\n", "        pass\n", "no uint32 rung"),
-    ("tray_grid.py", "if top < 2**32:", "if top <= 2**32:", "255 * pixels is never 2**32"),
-    ("tray_grid.py", "if top < 2**32:", "if top < 1**32:", "no uint32 rung"),
-    ("tray_grid.py", "if top < 2**32:", "if top < 2*32:", "a narrower uint32 rung"),
-    ("tray_grid.py", "if top < 2**32:", "if top < 2**31:", "a narrower uint32 rung"),
+    ("tray_grid.py", "rows.sum(axis=(1, 2), dtype=np.uint64)", "rows.sum(axis=(1, 2))",
+     "numpy sums uint8 in its default unsigned integer, uint64 here; the dtype keeps it on numpy 1 under Windows"),
+    # The band rule: uint64 bands give the same exact sums at more cost (ROADMAP Baseline).
+    ("tray_grid.py", "rows.sum(axis=1, dtype=np.uint16 if 255 * layout.slot_h < 2**16 else np.uint64)",
+     "rows.sum(axis=1)", "numpy's default sums uint8 in uint64 here: uint64 bands"),
+    ("tray_grid.py", "255 * layout.slot_h < 2**16", "255 * layout.slot_h <= 2**16", "255 * slot_h is never 2**16"),
+    ("tray_grid.py", "255 * layout.slot_h < 2**16", "256 * layout.slot_h < 2**16", "uint64 bands from slot_h 256"),
+    ("tray_grid.py", "255 * layout.slot_h < 2**16", "255 * layout.slot_h < 2**15", "uint64 bands from slot_h 129"),
+    ("tray_grid.py", "255 * layout.slot_h < 2**16", "255 * layout.slot_h < 2*16", "uint64 bands always"),
+    ("tray_grid.py", "255 * layout.slot_h < 2**16", "255 * layout.slot_h < 1**16", "uint64 bands always"),
+    ("presence.py", "outlier_k * 255 <= sys.float_info.max", "outlier_k * 255 < sys.float_info.max",
+     "no float or int k makes k * 255 exactly the largest float: it rounds below it or to inf"),
 ]
 
 

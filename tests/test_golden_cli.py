@@ -150,7 +150,7 @@ for i in range(12):
              overhang=(v[13] % 3, v[13] // 3 % 3), color=i % 5 == 4, inspect=inspect)
 
 # Accumulator limits: 255 * 257 = 65535 is the largest uint16 sum, so slot_h or
-# slot_w of 257 fills a uint16 accumulator and 258 needs uint32. Every pixel of
+# slot_w of 257 fills a uint16 accumulator and 258 would wrap one. Every pixel of
 # an occupied slot clips to 255, so its sums are the largest possible.
 for name, layout in [
     ("acc-roi-h256", (1, 1, 0, 0, 1, 256, 1, 256)),

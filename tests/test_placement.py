@@ -1,6 +1,7 @@
 """Placement calibration, the z-score tolerance rule, and the model store."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -141,13 +142,23 @@ class TestVerify:
             GrayImage(altered), model
         )
 
-    test_non_finite_value_rejected = rejects("finite", lambda: verify_value(float("nan"), sample_model()))
+    def test_largest_finite_value_rejected_as_a_verdict(self):
+        assert not verify_value(sys.float_info.max, sample_model()).correct
+
+    test_non_finite_value_rejected = rejects(
+        "finite",
+        lambda: verify_value(float("nan"), sample_model()),
+        lambda: verify_value(10**400, sample_model()),
+        lambda: verify_value(-(10**400), sample_model()),
+    )
 
 
 class TestModelInvariants:
     test_rejects_tiny_n = rejects("at least 2", lambda: sample_model(n=1))
     test_rejects_negative_std = rejects(None, lambda: sample_model(std_value=-1.0))
-    test_rejects_nan_std = rejects("std_value must be finite", lambda: sample_model(std_value=math.nan))
+    test_rejects_nan_std = rejects(
+        "std_value must be finite", lambda: sample_model(std_value=math.nan), lambda: sample_model(std_value=10**400)
+    )
     test_rejects_out_of_range_mean = rejects(
         None,
         lambda: sample_model(mean_value=300.0),
@@ -155,16 +166,27 @@ class TestModelInvariants:
         lambda: sample_model(mean_value=255.5),
     )
     test_rejects_bad_eps_floor = rejects(
-        "eps_floor must be finite", lambda: sample_model(eps_floor=-0.5), lambda: sample_model(eps_floor=math.nan)
+        "eps_floor must be finite",
+        lambda: sample_model(eps_floor=-0.5),
+        lambda: sample_model(eps_floor=math.nan),
+        lambda: sample_model(eps_floor=10**400),
     )
     test_rejects_int_beyond_float_mean = rejects("outside", lambda: sample_model(mean_value=10**400))
     test_rejects_non_positive_z = rejects(None, lambda: sample_model(z=0.0))
-    test_rejects_nan_z = rejects("z must be finite", lambda: sample_model(z=math.nan))
+    test_rejects_nan_z = rejects("z must be finite", lambda: sample_model(z=math.nan), lambda: sample_model(z=10**400))
     # mean 100 reaches 155 levels to 255, so any band of 155 or more accepts every frame.
     test_rejects_huge_finite_band = rejects(
         r"^tolerance band 2e\+300 around mean 100\.0 covers", lambda: sample_model(z=1e300)
     )
-    test_rejects_band_overflowing_to_inf = rejects(r"^tolerance band inf ", lambda: sample_model(z=1e308))
+    test_rejects_band_overflowing_to_inf = rejects(
+        r"^tolerance band inf ",
+        lambda: sample_model(z=1e308),
+        lambda: sample_model(z=sys.float_info.max),
+        lambda: sample_model(std_value=sys.float_info.max),
+    )
+    test_rejects_largest_finite_eps_floor = rejects(
+        r"^tolerance band 1\.7976931348623157e\+308 ", lambda: sample_model(eps_floor=sys.float_info.max)
+    )
     test_rejects_eps_floor_at_reach = rejects(
         r"^tolerance band 155\.0 ", lambda: sample_model(std_value=0.0, eps_floor=155.0)
     )

@@ -87,7 +87,15 @@ class TestClassifySlot:
     def test_python_ints_beyond_int64(self):
         assert classify_slot(10**30 + 1, 10**30 + 2, 0) is True
 
-    test_non_finite_rejected = rejects("finite", lambda: classify_slot(float("inf"), 120, 40))
+    def test_largest_finite_value_accepted(self):
+        assert classify_slot(sys.float_info.max, sys.float_info.max, 0) is True
+
+    test_non_finite_rejected = rejects(
+        "finite",
+        lambda: classify_slot(float("inf"), 120, 40),
+        lambda: classify_slot(10**400, 120, 40),
+        lambda: classify_slot(-(10**400), 120, 40),
+    )
 
     @given(dyadic, dyadic, dyadic, dyadic)
     def test_additive_shift_invariance(self, u, w, o, c):
@@ -180,10 +188,15 @@ class TestInspectTray:
     test_invalid_outlier_k = rejects(
         "outlier_k",
         lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=0.0),
+        lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=10**400),
     )
     test_outlier_k_threshold_overflow = rejects(
         "separation of 255 must be finite",
         lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=1e308),
+        lambda: inspect_tray(constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=10**306),
+        lambda: inspect_tray(
+            constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=sys.float_info.max
+        ),
         lambda: inspect_tray(
             constant_image(90, 40, 40), small_layout(), constant_refs(), outlier_k=sys.float_info.max / 254.5
         ),

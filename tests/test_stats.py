@@ -74,7 +74,12 @@ class TestSampleMean:
         assert sample_mean([np.float32(2**24), np.float32(1), np.float32(1)]) == (2**24 + 2) / 3
 
     test_empty_rejected = rejects("empty", lambda: sample_mean([]))
-    test_non_finite_rejected = rejects("finite", lambda: sample_mean([1.0, float("nan")]))
+    test_non_finite_rejected = rejects(
+        "finite",
+        lambda: sample_mean([1.0, float("nan")]),
+        lambda: sample_mean([1.0, 10**400]),
+        lambda: sample_std([1.0, 10**400]),
+    )
 
     @given(st.lists(bounded_floats, min_size=1, max_size=40), st.floats(-25, 25, allow_nan=False))
     def test_shift_moves_mean_by_constant(self, xs, c):

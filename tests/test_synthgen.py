@@ -1,5 +1,7 @@
 """Deterministic synthetic scenes: noise model, ground truth, manifests."""
 
+import sys
+
 import numpy as np
 
 from helpers import paper_means, rejects
@@ -95,8 +97,13 @@ class TestSceneSpecValidation:
     test_occupancy_length = rejects("occupancy", lambda: spec_1x2(occupancy=(True,)))
     test_mu_range = rejects("mu_with", lambda: spec_1x2(mu_with=300.0))
     test_int_beyond_float_rejected = rejects("background", lambda: spec_1x2(background=10**400))
-    test_sigma_non_negative = rejects("sigma", lambda: spec_1x2(sigma=-1.0))
-    test_seed_range = rejects("seed", lambda: spec_1x2(seed=-1), lambda: spec_1x2(seed=2**64))
+    test_sigma_non_negative = rejects("sigma", lambda: spec_1x2(sigma=-1.0), lambda: spec_1x2(sigma=10**400))
+    test_seed_range = rejects(
+        "seed", lambda: spec_1x2(seed=-1), lambda: spec_1x2(seed=2**64), lambda: spec_1x2(seed=1.5)
+    )
+
+    def test_largest_finite_sigma_accepted(self):
+        assert spec_1x2(sigma=sys.float_info.max).sigma == sys.float_info.max
 
     def test_int_occupancy_stored_as_a_tuple_of_bools(self):
         occupancy = spec_1x2(occupancy=[1, 0]).occupancy

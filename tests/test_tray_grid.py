@@ -160,9 +160,9 @@ SUM_EXAMPLES = [
     (TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), fitted_image(TrayLayout(1, 1, 3, 2, 5, 4, 5, 4), 0, 0)),
     (TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), fitted_image(TrayLayout(2, 3, 1, 2, 7, 6, 4, 3), 1, 2)),
     (TrayLayout(3, 3, 0, 0, 9, 9, 9, 9), GrayImage(np.full((27, 27), 255))),
-    # All-255 slots at each accumulator boundary: slot_h 257 and 258 put the band sums
-    # at and past the uint16 limit, areas 256 and 272 the slot sums, and a slot of
-    # 16,843,010 px puts them past the uint32 limit.
+    # All-255 slots around each wrap a narrower accumulator would hit: slot_h 257 and 258
+    # put the band sums at and past the uint16 limit, areas 256 and 272 the slot sums,
+    # and a slot of 16,843,010 px puts them past the uint32 limit.
     (TrayLayout(1, 2, 0, 0, 2, 257, 1, 257), GrayImage(np.full((257, 3), 255))),
     (TrayLayout(2, 1, 0, 0, 1, 259, 1, 258), GrayImage(np.full((517, 1), 255))),
     (TrayLayout(2, 2, 1, 1, 17, 17, 16, 16), GrayImage(np.full((34, 34), 255))),
@@ -170,8 +170,8 @@ SUM_EXAMPLES = [
     (TrayLayout(1, 1, 0, 0, 16_843_010, 1, 16_843_010, 1), GrayImage(SATURATED_ROWS.pixels[:1])),
     # The same limits for one slot, summed in one reduction: areas 257 and 258 put
     # its sum at and past the uint16 limit, areas 16,843,009 and 16,843,010 at and
-    # past the uint32 limit. Two slots past the uint32 limit keep the band path there,
-    # so the grid's cell stage sums in uint64.
+    # past the uint32 limit. Two slots past the uint32 limit put the grid's cell-stage
+    # sums there.
     (TrayLayout(1, 1, 0, 0, 257, 1, 257, 1), GrayImage(np.full((1, 257), 255))),
     (TrayLayout(1, 1, 2, 1, 43, 6, 43, 6), GrayImage(np.full((7, 45), 255))),
     (TrayLayout(1, 1, 1, 0, 16_843_009, 1, 16_843_009, 1), SATURATED_ROWS),
@@ -200,7 +200,7 @@ class TestSlotMeans:
     def test_sums_are_exact_unsigned_integers(self, case):
         layout, image = case
         sums = slot_sums(image, layout)
-        assert sums.dtype.kind == "u" and sums.shape == (layout.slot_count,)
+        assert sums.dtype == np.uint64 and sums.shape == (layout.slot_count,)
         assert sums.tolist() == [
             int(np.arange(256) @ histogram(crop(image, slot_rect(layout, i))))
             for i in range(layout.slot_count)
