@@ -38,13 +38,13 @@ that does not compile is dropped and counted as invalid. A mutant whose text
 equals that of an ``EQUIVALENT`` entry of ``mutants.py`` is not run. Every
 other mutant runs on a temporary copy of DIR (``mutants.run``) with ``pytest -x``
 over the mutated module's own test file (for ``cli.py``, the golden corpus and then
-``test_cli.py``'s parser tests), then ``test_golden_cli.py`` and ``test_acceptance.py``, then the rest,
-``min(2, os.cpu_count())`` at a time. A mutant is killed when pytest fails, and
+``test_cli.py``'s parser tests), then ``test_golden_cli.py`` and ``test_acceptance.py``,
+then the rest, ``min(2, os.cpu_count())`` at a time. A mutant is killed when pytest fails, and
 killed by timeout past four times one unmutated run. The script prints each
 survivor and each timed-out mutant as ``module:line``, its operator and a unified
 diff, then the counts of each family and their totals, and exits 1 if any mutant
-survived. Neither pytest nor CI runs it: a full sweep takes about an hour on two
-CPUs.
+survived. Neither pytest nor CI runs it: a full sweep takes about 50 minutes on
+two CPUs, 35 of them the nine modules other than ``cli.py``.
 """
 
 import argparse
