@@ -56,17 +56,21 @@ def _check_record_id(value: str, flag: str) -> None:
         raise ValueError(f"{flag} must be non-empty and contain no whitespace, got {value!r}")
 
 
-def _expand_samples(args_paths) -> list[Path]:
-    paths: list[Path] = []
+def _expand_samples(args_paths) -> dict[str, Path]:
+    # Each sample path by its resolved path, so that no frame named twice is counted twice.
+    paths = {}
     for raw in args_paths:
         p = Path(raw)
+        found = [p]
         if p.is_dir():
             found = sorted(q for q in p.iterdir() if q.suffix.lower() in (".pgm", ".ppm"))
             if not found:
                 raise ValueError(f"no .pgm/.ppm sample images in directory {p}")
-            paths.extend(found)
-        else:
-            paths.append(p)
+        for q in found:
+            real = os.path.realpath(q)  # Path.resolve raises RuntimeError on a symlink loop before 3.13
+            if real in paths:
+                raise ValueError(f"sample {q} is listed more than once")
+            paths[real] = q
     return paths
 
 
@@ -127,7 +131,7 @@ def cmd_inspect(args) -> int:
 def cmd_calibrate_placement(args) -> int:
     roi = _parse_roi(args.roi)
     # One frame at a time; the paths are expanded at once, so a directory's errors come first.
-    samples = (imaging.load_gray_image(p) for p in _expand_samples(args.samples))
+    samples = (imaging.load_gray_image(p) for p in _expand_samples(args.samples).values())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = placement.calibrate_placement(samples, roi, z=args.z, min_n=args.min_n)

@@ -108,17 +108,8 @@ def calibrate_presence(
     return PresenceReferenceSet(layout, (SlotReference(w, o) for w, o in pairs))
 
 
-def _nearest_reference(value, with_, without):
-    """The nearest-reference rule, elementwise: the occupied bits (strict ``<``,
-    so a tie is empty) and each reading's distance to the nearer reference."""
-    to_with = abs(value - with_)
-    to_without = abs(value - without)
-    # dtype=float also takes the Python ints beyond int64 that classify_slot accepts.
-    return to_with < to_without, np.minimum(to_with, to_without, dtype=float)
-
-
 def _evidence(image, layout, refs):
-    """Every slot's reading, occupied bit and distance to the nearer reference, as arrays."""
+    """Every slot's occupied bit and distance to the nearer reference, as arrays."""
     if refs.layout != layout:
         raise ValueError(
             "reference set was calibrated against a different layout: "
@@ -127,14 +118,18 @@ def _evidence(image, layout, refs):
     # Sums are integers below 2**53, so each quotient is the correctly rounded one of slot_means.
     value = slot_sums(image, layout) / (layout.slot_w * layout.slot_h)
     with_, without, _ = refs._columns
-    return (value, *_nearest_reference(value, with_, without))
+    # The nearest-reference rule: strict, so a tie is empty.
+    to_with = abs(value - with_)
+    to_without = abs(value - without)
+    return to_with < to_without, np.minimum(to_with, to_without)
 
 
 def classify_slot(value_unknown: float, value_with: float, value_without: float) -> bool:
     """Nearest-reference rule: occupied iff strictly closer to the with reference.
 
     Ties classify as empty; a skipped pick is cheaper than sending the nozzle
-    to an empty pocket.
+    to an empty pocket. This is the rule's standalone scalar statement, in plain
+    Python (exact for ints and Fractions), that the tray verdict is checked against.
     """
     for name, value in (
         ("value_unknown", value_unknown),
@@ -143,7 +138,7 @@ def classify_slot(value_unknown: float, value_with: float, value_without: float)
     ):
         if not abs(value) <= sys.float_info.max:  # NaN, ±inf and ints beyond float range fail it
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return bool(_nearest_reference(value_unknown, value_with, value_without)[0])
+    return bool(abs(value_unknown - value_with) < abs(value_unknown - value_without))
 
 
 def inspect_tray(
@@ -163,7 +158,7 @@ def inspect_tray(
     # References lie in [0, 255], so no separation exceeds 255 and no threshold overflows.
     if not outlier_k * 255 <= sys.float_info.max:
         raise ValueError(f"outlier_k times a separation of 255 must be finite, got {outlier_k!r}")
-    _, occupied, nearer = _evidence(image, layout, refs)
+    occupied, nearer = _evidence(image, layout, refs)
     flags = nearer > outlier_k * refs._columns[2]
     # A bool array's bytes are 0 and 1, one per slot.
     bitstring = occupied.tobytes().translate(_BIT_CHARS).decode("ascii")

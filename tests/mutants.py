@@ -42,9 +42,12 @@ PER_FRAME = "test_cli.py::TestPerFrameJudges::test_each_frame_gives_its_single_s
 MUTANTS = [
     # Verdict rules and the feature
     ("tie-occupied", "presence.py", "to_with < to_without,", "to_with <= to_without,", "[tie-constant]"),
-    ("evidence-tie-occupied", "presence.py", "    return (value, *_nearest_reference(value, with_, without))\n",
-     "    occupied, nearer = _nearest_reference(value, without, with_)\n    return value, ~occupied, nearer\n",
+    ("evidence-tie-occupied", "presence.py",
+     "abs(value - with_)\n    to_without = abs(value - without)\n    return to_with < to_without,",
+     "abs(value - without)\n    to_without = abs(value - with_)\n    return ~(to_with < to_without),",
      "[tie-constant] test_presence.py::TestInspectTray::test_matches_per_slot_reference_rule"),
+    ("classify-tie-occupied", "presence.py", "value_with) < abs(", "value_with) <= abs(",
+     f"{A}4_nearest_reference_equivalence test_presence.py::TestClassifySlot::test_tie_breaks_to_empty"),
     ("outlier-ge", "presence.py", "nearer > outlier_k", "nearer >= outlier_k", "[outlier-k-1]"),
     ("band-open", "placement.py", "deviation <= ", "deviation < ", "[socket-zero-variance]"),
     ("band-uint16", "tray_grid.py", "np.uint16 if 255 * layout.slot_h < 2**16 else np.uint64)", "np.uint16)",
@@ -216,7 +219,14 @@ MUTANTS = [
     ("undersampled-text", "cli.py", "under-sampled n={model.n}", "under-sampled n={model.n - 1}",
      "[socket-undersampled]"),
     ("min-n-ignored", "cli.py", "min_n=args.min_n", "min_n=placement.DEFAULT_MIN_N", "[socket-min-n-z]"),
-    ("listed-sample-twice", "cli.py", "paths.append(p)", "paths += [p, p]", "[socket-file-list]"),
+    ("listed-sample-twice", "cli.py", "found = [p]", "found = [p, p]", "[socket-file-list]"),
+    ("repeated-sample-merged", "cli.py", "if real in paths:", "if False:", "[socket-sample-twice]"),
+    ("sample-compared-by-name", "cli.py", "os.path.realpath(q)", "os.path.normpath(q)",
+     "test_cli.py::TestInputKinds::test_sample_named_again_through_a_symlink_exit_2"),
+    ("sample-resolved-by-pathlib", "cli.py", "os.path.realpath(q)", "str(q.resolve())",
+     "test_cli.py::TestInputKinds::test_unreadable_symlinked_sample_is_named_as_given[loop]"),
+    ("samples-by-resolved-path", "cli.py", "_expand_samples(args.samples).values())", "_expand_samples(args.samples))",
+     "test_cli.py::TestInputKinds::test_unreadable_symlinked_sample_is_named_as_given[dangling]"),
     ("roi-three-parts", "cli.py", "if len(parts) != 4:", "if len(parts) < 3:", "[socket-roi-three-parts]"),
     ("placement-ok-record", "cli.py", '{ident} OK"', '{ident} ok"', "[socket-40x40]"),
     ("ng-exit-0", "cli.py", "file=sys.stderr)\n    return code\n", "file=sys.stderr)\n    return 0\n", "[socket-40x40]"),
@@ -286,7 +296,7 @@ MUTANTS = [
      "test_package.py::test_value_types_are_frozen[SlotReference]"),
     ("gray-value-eq", "imaging.py", "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)",
      "test_imaging.py::TestGrayImage::test_equality_is_identity"),
-    ("verdict-numpy-bool", "presence.py", "return bool(_nearest_reference(", "return (_nearest_reference(",
+    ("verdict-numpy-bool", "presence.py", "return bool(abs(", "return (abs(",
      "test_presence.py::TestClassifySlot::test_numpy_scalars_give_a_bool"),
     ("command-optional", "cli.py", 'dest="command", required=True)', 'dest="command")',
      "test_cli.py::test_no_command_is_a_usage_error"),
@@ -356,6 +366,10 @@ EQUIVALENT = [
     ("presence.py", "np.abs(with_ - without)", "np.abs(abs(with_ - without))", "abs of an abs"),
     ("presence.py", "to_with = abs(value - with_)", "to_with = abs(abs(value - with_))", "abs of an abs"),
     ("presence.py", "to_without = abs(value - without)", "to_without = abs(abs(value - without))", "abs of an abs"),
+    ("presence.py", "bool(abs(value_unknown - value_with) <", "bool(abs(abs(value_unknown - value_with)) <",
+     "abs of an abs"),
+    ("presence.py", "< abs(value_unknown - value_without))", "< abs(abs(value_unknown - value_without)))",
+     "abs of an abs"),
     ("presence.py", "flags.nonzero()[0]", "flags.nonzero()[-1]", "a 1-D array's nonzero() is a 1-tuple"),
     ("stats.py", "sum((x - mean) ** 2", "sum((abs(x - mean)) ** 2", "a square drops the sign"),
     ("stats.py", "/ (len(xs) - 1))", "/ (abs(len(xs) - 1)))", "there are at least 2 samples there"),

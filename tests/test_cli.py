@@ -1,7 +1,7 @@
 """What a golden digest cannot check about the CLI; a new output check is a golden case.
 
 Kept here: process start and exit, closed and failing streams, fuzzed input
-files, devices and pipes as inputs, record ids, lazy imports, ``gc``, ``synth``
+files, devices, pipes and symlinks as inputs, record ids, lazy imports, ``gc``, ``synth``
 and the option inventory. Tests take their input files from the ``inputs``
 fixture and call the CLI in process through ``helpers.run``; ``run_cli``
 starts it in a new process.
@@ -9,6 +9,7 @@ starts it in a new process.
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import os
 import re
@@ -301,7 +302,8 @@ class TestClosedStdout:
 
 class TestInputKinds:
     """Every input path must name a regular file or a pipe: a device or a directory
-    exits 2 with one error line before a byte is read, and a pipe reads as its file."""
+    exits 2 with one error line before a byte is read, and a pipe reads as its file.
+    A sample named through a symlink counts as its target and errors name it as given."""
 
     @pytest.mark.parametrize("command, flag", [
         case for case in TestMalformedInputFiles.CASES if case[1] != "--samples"  # a directory lists samples
@@ -330,6 +332,23 @@ class TestInputKinds:
             os.close(terminal)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr == b"error: /dev/stdin: not a regular file or a pipe\n"
+
+    def test_sample_named_again_through_a_symlink_exit_2(self, inputs, tmp_path):
+        alias = tmp_path / "alias.pgm"
+        alias.symlink_to(inputs.samples / "s0007.pgm")
+        code, out, err = run("calibrate-placement", "--samples", inputs.samples, alias,
+                             "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
+        assert (code, out, err) == (2, "", f"error: sample {alias} is listed more than once\n")
+        assert not (tmp_path / "model.txt").exists()
+
+    @pytest.mark.parametrize("target, code", [("alias.pgm", errno.ELOOP), ("missing.pgm", errno.ENOENT)],
+                             ids=["loop", "dangling"])
+    def test_unreadable_symlinked_sample_is_named_as_given(self, inputs, tmp_path, target, code):
+        alias = tmp_path / "alias.pgm"
+        alias.symlink_to(target)
+        result = run("calibrate-placement", "--samples", inputs.samples, alias,
+                     "--roi", "1,1,8,8", "--out", tmp_path / "model.txt")
+        assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: '{alias}'\n")
 
     def test_piped_image_gives_the_file_record(self, inputs, working_options):
         options = working_options["inspect"]

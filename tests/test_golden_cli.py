@@ -345,6 +345,14 @@ def zero_variance():
 zero_variance()
 case("socket-empty-directory", {"in/samples/notes.txt": b"x\n"},
      ["calibrate-placement", "--samples", "in/samples", "--roi", "0,0,1,1", "--out", "out/model.txt"])
+# A sample listed twice, by name, through its directory or under another spelling, is an error.
+for name, sources in [
+    ("socket-sample-twice", ["in/samples/s00.pgm", "in/samples/s00.pgm"]),
+    ("socket-directory-and-its-sample", ["in/samples", "in/samples/s01.pgm"]),
+    ("socket-sample-twice-spelt-apart", ["in/samples/s00.pgm", "in/samples/../samples/s00.pgm"]),
+]:
+    case(name, {f"in/samples/s{i:02d}.pgm": pnm(np.full((4, 4), 117 + i)) for i in range(3)},
+         ["calibrate-placement", "--samples", *sources, "--roi", "0,0,4,4", "--out", "out/model.txt"])
 
 # evaluate: label files in their own order; undefined metrics; malformed files.
 ids = [f"m{i}" for i in range(40)]

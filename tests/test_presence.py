@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,8 +85,9 @@ class TestClassifySlot:
         assert classify_slot(np.float64(110), np.float64(120), np.float64(40)) is True
         assert classify_slot(np.float64(41), np.float64(120), np.float64(40)) is False
 
-    def test_python_ints_beyond_int64(self):
+    def test_exact_ints_and_fractions(self):
         assert classify_slot(10**30 + 1, 10**30 + 2, 0) is True
+        assert classify_slot(Fraction(1, 3), Fraction(1, 2), Fraction(0)) is True
 
     def test_largest_finite_value_accepted(self):
         assert classify_slot(sys.float_info.max, sys.float_info.max, 0) is True
