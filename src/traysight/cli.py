@@ -56,8 +56,8 @@ def _check_record_id(value: str, flag: str) -> None:
         raise ValueError(f"{flag} must be non-empty and contain no whitespace, got {value!r}")
 
 
-def _expand_samples(args_paths) -> dict[str, Path]:
-    # Each sample path by its resolved path, so that no frame named twice is counted twice.
+def _expand_samples(args_paths) -> list[Path]:
+    # Keyed by resolved path while collecting, so that no frame named twice is counted twice.
     paths = {}
     for raw in args_paths:
         p = Path(raw)
@@ -71,7 +71,7 @@ def _expand_samples(args_paths) -> dict[str, Path]:
             if real in paths:
                 raise ValueError(f"sample {q} is listed more than once")
             paths[real] = q
-    return paths
+    return list(paths.values())
 
 
 def _render_map(image, layout, result) -> np.ndarray:
@@ -131,7 +131,7 @@ def cmd_inspect(args) -> int:
 def cmd_calibrate_placement(args) -> int:
     roi = _parse_roi(args.roi)
     # One frame at a time; the paths are expanded at once, so a directory's errors come first.
-    samples = (imaging.load_gray_image(p) for p in _expand_samples(args.samples).values())
+    samples = (imaging.load_gray_image(p) for p in _expand_samples(args.samples))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = placement.calibrate_placement(samples, roi, z=args.z, min_n=args.min_n)
